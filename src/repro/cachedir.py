@@ -1,0 +1,99 @@
+"""mtime-LRU eviction shared by the on-disk caches.
+
+The stage store, the result store and the memo spill each keep one flat
+directory of entries named ``<key><suffix>``.  An entry's recency is the
+mtime of its first present file in ``suffixes`` order (reads refresh it);
+victims go oldest first, ties broken by key.  Eviction reads directory
+metadata only: one ``os.listdir`` counts the entries, and only a directory
+over its bound is stat'ed, so a write costs the same however full the store
+is.  Entries count by file name alone, so a corrupt sidecar or a payload
+left without one still counts and is evicted in its turn.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+#: Payload + sidecar entries (``<digest>.pkl`` + ``<digest>.json``).  The
+#: sidecar is written last and touched on every hit, so it carries recency;
+#: a payload left without one falls back to its own mtime.
+SIDECAR_SUFFIXES = (".json", ".pkl")
+
+
+def _keys(names: Iterable[str], suffixes: Sequence[str]) -> Set[str]:
+    return {n[: -len(x)] for n in names for x in suffixes if n.endswith(x)}
+
+
+def _mtime(root: str, key: str, suffixes: Sequence[str]) -> Optional[float]:
+    """Mtime of ``key``'s recency file, or ``None`` once it is gone."""
+    for suffix in suffixes:
+        try:
+            return os.stat(os.path.join(root, key + suffix)).st_mtime
+        except OSError:
+            continue
+    return None
+
+
+def scan_lru(
+    root: str, suffixes: Sequence[str], names: Optional[List[str]] = None
+) -> List[Tuple[float, str]]:
+    """``(mtime, key)`` of every entry under ``root``, LRU first."""
+    records = []
+    for key in _keys(os.listdir(root) if names is None else names, suffixes):
+        mtime = _mtime(root, key, suffixes)
+        if mtime is not None:  # else concurrently evicted
+            records.append((mtime, key))
+    records.sort()
+    return records
+
+
+def evict_lru(root: str, max_entries: int, suffixes: Sequence[str]) -> int:
+    """Unlink the least-recently-used entries beyond ``max_entries``.
+
+    Each victim's mtime is re-checked against the scan before it goes: an
+    entry rewritten or read since the scan is no longer least-recently-used
+    and is spared.  Returns the number of entries evicted.
+    """
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return 0
+    if len(_keys(names, suffixes)) <= max_entries:
+        return 0
+    records = scan_lru(root, suffixes, names)
+    evicted = 0
+    for mtime, key in records[: len(records) - max_entries]:
+        if _mtime(root, key, suffixes) != mtime:
+            continue  # touched since the scan, or already gone
+        for suffix in suffixes:
+            try:
+                os.unlink(os.path.join(root, key + suffix))
+            except OSError:
+                pass
+        evicted += 1
+    return evicted
+
+
+def read_sidecars(root: str) -> List[Dict[str, Any]]:
+    """Every parseable ``.json`` sidecar under ``root``, each with its
+    ``_mtime``, least-recently-used first.  For listings, not eviction."""
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return []
+    records = []
+    for name in names:
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(root, name)
+        try:
+            with open(path) as handle:
+                meta = json.load(handle)
+            meta["_mtime"] = os.path.getmtime(path)
+        except (OSError, json.JSONDecodeError):
+            continue
+        records.append(meta)
+    records.sort(key=lambda rec: (rec["_mtime"], rec.get("digest", "")))
+    return records

@@ -49,9 +49,10 @@ import os
 import pickle
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
 from repro import obs
+from repro.cachedir import evict_lru
 from repro.hashing import content_digest
 from repro.pipeline.store import MemoryStageStore
 
@@ -114,7 +115,7 @@ class MemoSpill:
     (temp + ``os.replace``) so concurrent workers never observe partial
     payloads.  The directory is bounded by an mtime LRU: loads refresh
     mtime, and every :data:`PRUNE_EVERY` saves the oldest entries beyond
-    ``max_entries`` are deleted.
+    ``max_entries`` are deleted (:func:`repro.cachedir.evict_lru`).
     """
 
     PRUNE_EVERY = 64
@@ -198,31 +199,7 @@ class MemoSpill:
     def prune(self) -> int:
         """Delete the oldest entries beyond ``max_entries``; returns the
         number removed."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return 0
-        entries: List[Tuple[float, str]] = []
-        for filename in names:
-            if not filename.endswith(".pkl"):
-                continue
-            path = os.path.join(self.root, filename)
-            try:
-                entries.append((os.path.getmtime(path), path))
-            except OSError:
-                continue  # concurrently pruned
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return 0
-        entries.sort()
-        removed = 0
-        for _, path in entries[:excess]:
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return evict_lru(self.root, self.max_entries, (".pkl",))
 
 
 class _LruMemo:

@@ -16,7 +16,8 @@ input digest (see :mod:`repro.pipeline.digest`).  Two files per entry:
 The mechanics are the result store's, deliberately: atomic temp+rename
 writes, payload-first/sidecar-last ordering so a visible sidecar implies a
 complete payload, mtime-LRU eviction with ``get`` refreshing recency, and
-a missing/corrupt file always reads as a miss, never an error.
+a missing/corrupt file always reads as a miss, never an error.  Eviction
+reads only names and mtimes (:func:`repro.cachedir.evict_lru`).
 
 :class:`MemoryStageStore` is the in-process overlay :meth:`Flow.compare
 <repro.flow.Flow.compare>` shares between its two runs: same interface,
@@ -36,6 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.cachedir import SIDECAR_SUFFIXES, evict_lru, read_sidecars
 from repro.delay.cache import default_cache_dir
 from repro.errors import ReproError
 
@@ -210,26 +212,8 @@ class StageArtifactStore:
         return StoredStage(digest=digest, meta=meta, path=payload_path)
 
     def entries(self) -> List[Dict[str, Any]]:
-        """All sidecar records, least-recently-used first."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        records = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                with open(path) as handle:
-                    meta = json.load(handle)
-                mtime = os.path.getmtime(path)
-            except (OSError, json.JSONDecodeError):
-                continue
-            meta["_mtime"] = mtime
-            records.append(meta)
-        records.sort(key=lambda rec: (rec["_mtime"], rec.get("digest", "")))
-        return records
+        """All sidecar records, least-recently-used first (for listings)."""
+        return read_sidecars(self.root)
 
     def __len__(self) -> int:
         try:
@@ -278,19 +262,4 @@ class StageArtifactStore:
 
     def evict(self) -> int:
         """Drop least-recently-used entries beyond ``max_entries``."""
-        records = self.entries()
-        excess = len(records) - self.max_entries
-        if excess <= 0:
-            return 0
-        evicted = 0
-        for record in records[:excess]:
-            digest = record.get("digest")
-            if not digest:
-                continue
-            for path in (self._payload_path(digest), self._meta_path(digest)):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            evicted += 1
-        return evicted
+        return evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES)

@@ -21,8 +21,10 @@ Guarantees:
 * **LRU eviction** — the store is bounded (``max_entries``); a successful
   :meth:`ResultStore.get` refreshes the entry's recency (mtime), and
   :meth:`ResultStore.put` evicts the least-recently-used entries beyond
-  the bound.  Eviction is crash-safe: a missing sidecar or payload is
-  treated as a miss, never an error.
+  the bound, reading only names and mtimes (:func:`repro.cachedir.evict_lru`
+  stats nothing under the bound).  Eviction is crash-safe: a missing
+  sidecar or payload is a miss, never an error, and an entry with a
+  corrupt or missing sidecar still counts toward the bound.
 * **Write/evict exclusion** — writers and evictors (possibly in different
   processes: every cluster node worker shares its node's store) serialize
   on an ``flock`` over ``<root>/.lock``, and eviction re-checks each
@@ -48,6 +50,7 @@ try:
 except ImportError:  # non-POSIX: degrade to unserialized writes
     fcntl = None  # type: ignore[assignment]
 
+from repro.cachedir import SIDECAR_SUFFIXES, evict_lru, read_sidecars
 from repro.delay.cache import default_cache_dir
 from repro.engine.pool import ensure_pickle_depth
 from repro.errors import ReproError
@@ -120,7 +123,7 @@ class ResultStore:
         lock file itself is never an entry (no ``.pkl``/``.json`` suffix).
         Callers must not nest acquisitions (same-thread re-acquisition on
         a second handle would deadlock) — ``put``/``put_bytes`` therefore
-        call :meth:`_evict_locked` directly, not :meth:`evict`.
+        call :func:`~repro.cachedir.evict_lru` directly, not :meth:`evict`.
         """
         os.makedirs(self.root, exist_ok=True)
         if fcntl is None:
@@ -208,30 +211,12 @@ class ResultStore:
                 self._meta_path(digest),
                 (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
             )
-            self._evict_locked()
+            evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES)
         return StoredResult(digest=digest, meta=meta, path=self._payload_path(digest))
 
     def entries(self) -> List[Dict[str, Any]]:
-        """All sidecar records, least-recently-used first."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        records = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                with open(path) as handle:
-                    meta = json.load(handle)
-                mtime = os.path.getmtime(path)
-            except (OSError, json.JSONDecodeError):
-                continue
-            meta["_mtime"] = mtime
-            records.append(meta)
-        records.sort(key=lambda rec: (rec["_mtime"], rec.get("digest", "")))
-        return records
+        """All sidecar records, least-recently-used first (for listings)."""
+        return read_sidecars(self.root)
 
     def __len__(self) -> int:
         try:
@@ -278,7 +263,7 @@ class ResultStore:
                 self._meta_path(digest),
                 (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
             )
-            evicted = self._evict_locked()
+            evicted = evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES)
         meta["evicted"] = evicted
         return StoredResult(digest=digest, meta=meta, path=self._payload_path(digest))
 
@@ -296,34 +281,4 @@ class ResultStore:
     def evict(self) -> int:
         """Drop least-recently-used entries beyond ``max_entries``."""
         with self._exclusive():
-            return self._evict_locked()
-
-    def _evict_locked(self) -> int:
-        """Eviction body; caller holds :meth:`_exclusive`.
-
-        The writer lock rules out racing a ``put``, but lock-free readers
-        still refresh mtimes underneath us — so re-check each victim's
-        mtime against the scan snapshot and spare entries touched since
-        (they are no longer least-recently-used)."""
-        records = self.entries()
-        excess = len(records) - self.max_entries
-        if excess <= 0:
-            return 0
-        evicted = 0
-        for record in records[:excess]:
-            digest = record.get("digest")
-            if not digest:
-                continue
-            meta_path = self._meta_path(digest)
-            try:
-                if os.path.getmtime(meta_path) != record["_mtime"]:
-                    continue
-            except OSError:
-                continue  # already gone
-            for path in (self._payload_path(digest), meta_path):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            evicted += 1
-        return evicted
+            return evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES)

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro import cachedir
 from repro.service.request import FlowRequest
 from repro.service.store import STORE_SCHEMA, ResultStore
 from repro.service.worker import execute_request
@@ -179,12 +180,16 @@ class TestStoreConcurrency:
             writer.put(_filler_request(seed), result)
         # The hot entry is now the LRU victim in this (soon stale) scan.
         evictor = ResultStore(root, max_entries=MAX_ENTRIES)
-        stale_records = evictor.entries()
-        assert stale_records[0]["digest"] == hot_entry.digest
+        stale_records = cachedir.scan_lru(root, cachedir.SIDECAR_SUFFIXES)
+        assert stale_records[0][1] == hot_entry.digest
         time.sleep(0.01)  # ensure the rewrite lands a distinct mtime
         writer.put(_hot_request(), result)  # concurrent rewrite
-        monkeypatch.setattr(evictor, "entries", lambda: stale_records)
-        evictor.evict()
+        scans = []
+        monkeypatch.setattr(
+            cachedir, "scan_lru", lambda *args: scans.append(args) or stale_records
+        )
+        assert evictor.evict() == 0
+        assert scans, "evict() no longer decides from scan_lru"
         hit = writer.get(hot_entry.digest)
         assert hit is not None, "evictor deleted a just-rewritten entry"
         assert hit.result_digest == hot_entry.result_digest
