@@ -15,7 +15,9 @@ Capacity accounting is per-tile:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PlacementError
 from repro.physical.device import Device
@@ -26,6 +28,9 @@ TILE_LUT_EQ = 64
 TILE_DSP = 2
 
 CLB, BRAM_COL, DSP_COL = "clb", "bram", "dsp"
+
+#: Capacity of one tile of each column kind, in that kind's unit.
+KIND_CAPACITY = {CLB: TILE_LUT_EQ, BRAM_COL: 1, DSP_COL: TILE_DSP}
 
 
 class Fabric:
@@ -43,6 +48,11 @@ class Fabric:
         dsp_cols = math.ceil(dsp_tiles / self.rows)
         self.cols = clb_cols + bram_cols + dsp_cols
         self.col_types = self._interleave(clb_cols, bram_cols, dsp_cols)
+        #: Sorted column indices of each kind (the capacity search's index).
+        self.kind_cols: Dict[str, List[int]] = {
+            kind: [x for x, t in enumerate(self.col_types) if t == kind]
+            for kind in KIND_CAPACITY
+        }
 
     @staticmethod
     def _interleave(clb: int, bram: int, dsp: int) -> List[str]:
@@ -70,53 +80,11 @@ class Fabric:
 
     def tile_capacity(self, x: int) -> int:
         """Capacity of one tile in column ``x``, in that column's unit."""
-        kind = self.col_types[x]
-        if kind == CLB:
-            return TILE_LUT_EQ
-        if kind == BRAM_COL:
-            return 1
-        return TILE_DSP
+        return KIND_CAPACITY[self.col_types[x]]
 
     @property
     def center(self) -> Tuple[int, int]:
         return self.cols // 2, self.rows // 2
-
-    def in_bounds(self, x: int, y: int) -> bool:
-        return 0 <= x < self.cols and 0 <= y < self.rows
-
-    def ring(self, cx: int, cy: int, radius: int) -> Iterator[Tuple[int, int]]:
-        """Tiles at Chebyshev distance ``radius`` from (cx, cy), in bounds.
-
-        Radius 0 yields the center itself.  Deterministic clockwise order.
-        """
-        if radius == 0:
-            if self.in_bounds(cx, cy):
-                yield (cx, cy)
-            return
-        x0, x1 = cx - radius, cx + radius
-        y0, y1 = cy - radius, cy + radius
-        for x in range(x0, x1 + 1):
-            if self.in_bounds(x, y0):
-                yield (x, y0)
-        for y in range(y0 + 1, y1 + 1):
-            if self.in_bounds(x1, y):
-                yield (x1, y)
-        for x in range(x1 - 1, x0 - 1, -1):
-            if self.in_bounds(x, y1):
-                yield (x, y1)
-        for y in range(y1 - 1, y0, -1):
-            if self.in_bounds(x0, y):
-                yield (x0, y)
-
-    def nearest_tiles(
-        self, cx: int, cy: int, col_kind: str, limit_radius: Optional[int] = None
-    ) -> Iterator[Tuple[int, int]]:
-        """Tiles of the requested column type by increasing ring distance."""
-        max_radius = limit_radius if limit_radius is not None else max(self.cols, self.rows)
-        for radius in range(0, max_radius + 1):
-            for x, y in self.ring(cx, cy, radius):
-                if self.col_types[x] == col_kind:
-                    yield (x, y)
 
 
 class Occupancy:
@@ -159,20 +127,60 @@ class Occupancy:
     ) -> List[Tuple[int, int, int]]:
         """Allocate ``amount`` units of ``col_kind`` capacity near (cx, cy).
 
+        Tiles are visited ring by ring in increasing Chebyshev distance.
+        Each ring runs clockwise: top edge left to right, right edge top to
+        bottom, bottom edge right to left, left edge bottom to top.  Only
+        columns of ``col_kind`` are walked: the top and bottom edges cut the
+        kind's sorted column list to the ring's span, and a side edge is
+        walked only when its column has the kind.  Every tile of another
+        kind would be skipped anyway, so the visiting order of the matching
+        tiles is exactly that of a full spiral over every tile.
+
         Returns [(x, y, units)] chunks.  Raises :class:`PlacementError` when
         the device is out of that resource.
         """
+        fabric = self.fabric
+        cols, rows, col_types = fabric.cols, fabric.rows, fabric.col_types
+        kind_cols = fabric.kind_cols[col_kind]
+        cap = KIND_CAPACITY[col_kind]
+        used = self._used
         chunks: List[Tuple[int, int, int]] = []
         remaining = amount
+        # ``radius`` ends as the ring of the last matching tile visited,
+        # including the one visited after the demand is met.
         radius = 0
-        for x, y in self.fabric.nearest_tiles(cx, cy, col_kind):
-            radius = max(radius, abs(x - cx), abs(y - cy))
-            if remaining <= 0:
-                break
-            taken = self.take(x, y, remaining)
-            if taken:
-                chunks.append((x, y, taken))
-                remaining -= taken
+        for r in range(max(cols, rows) + 1):
+            x0, x1, y0, y1 = cx - r, cx + r, cy - r, cy + r
+            lo = bisect_left(kind_cols, x0)
+            top = (
+                zip(kind_cols[lo:bisect_right(kind_cols, x1)], repeat(y0))
+                if 0 <= y0 < rows else ()
+            )
+            right = (
+                zip(repeat(x1), range(max(y0 + 1, 0), min(y1, rows - 1) + 1))
+                if 0 <= x1 < cols and col_types[x1] == col_kind else ()
+            )
+            bottom = (
+                zip(reversed(kind_cols[lo:bisect_left(kind_cols, x1)]), repeat(y1))
+                if 0 <= y1 < rows else ()
+            )
+            left = (
+                zip(repeat(x0), range(min(y1 - 1, rows - 1), max(y0, -1), -1))
+                if 0 <= x0 < cols and col_types[x0] == col_kind else ()
+            )
+            for x, y in chain(top, right, bottom, left):
+                radius = r
+                if remaining <= 0:
+                    break
+                free = cap - used.get((x, y), 0)
+                if free > 0:
+                    taken = min(free, remaining)
+                    used[(x, y)] = cap - free + taken
+                    chunks.append((x, y, taken))
+                    remaining -= taken
+            else:
+                continue
+            break  # the tile after the demand was met has been visited
         self.last_search = (cx, cy, radius)
         if remaining > 0:
             raise PlacementError(

@@ -1,12 +1,13 @@
 """Deterministic connectivity-driven placement.
 
-The placer processes cells in BFS order over the netlist from an anchor
-(controller or port), placing each cell at the nearest free capacity to the
-centroid of its already-placed neighbors, with a small seeded jitter.  This
-is nowhere near an analytic placer, but it produces the property that
-matters for the paper's experiments: *the sinks of a broadcast net occupy an
-area proportional to their total resource demand*, so broadcast spread — and
-hence wire delay — grows with broadcast factor and buffer size.
+The placer processes cells in depth-first order over the netlist from an
+anchor (controller or port), placing each cell at the nearest free capacity
+to the centroid of its already-placed neighbors, with a small seeded
+jitter.  This is nowhere near an analytic placer, but it produces the
+property that matters for the paper's experiments: *the sinks of a
+broadcast net occupy an area proportional to their total resource demand*,
+so broadcast spread — and hence wire delay — grows with broadcast factor
+and buffer size.
 
 Two performance mechanisms ride on top of the greedy algorithm without
 changing any placement decision:
@@ -15,7 +16,7 @@ changing any placement decision:
   record its greedy phase as a trajectory — per cell, the desired position
   and the exact tile chunks allocated — and a later run over a *similar*
   netlist replays matching prefix steps by re-taking the recorded chunks
-  directly, skipping the spiral free-capacity search.  The first
+  directly, skipping the occupancy's capacity search.  The first
   mismatching step falls back to fresh allocation for the rest of the
   order, so reuse is bit-identical by construction (either the whole
   prefix matches — same occupancy state by induction — or it isn't used).
@@ -212,16 +213,10 @@ class _RefineContext:
 
 
 class Placer:
-    """Greedy BFS placer over a :class:`Fabric`."""
+    """Greedy depth-first placer over a :class:`Fabric`."""
 
     #: Cells demanding more than this many tiles are deferred (see place()).
     BIG_CELL_TILES = 64
-
-    #: Refine implementation: ``"fast"`` (cached summaries + skip logic) or
-    #: ``"reference"`` (full recomputation every trial).  Both produce
-    #: bit-identical placements; the reference exists so tests can pin the
-    #: fast path's accepted-move behavior.
-    refine_engine = "fast"
 
     #: Deduped adjacency per netlist, revalidated by (cells, nets) counts —
     #: sound for this codebase because every netlist mutation (replication,
@@ -290,11 +285,7 @@ class Placer:
         # neighbors and index-contiguous bank groups are physically local.
         brams = [c for c in netlist.cells.values() if c.kind is CellKind.BRAM]
         with obs.span("memory-floorplan", brams=len(brams)):
-            bram_cols = [
-                x
-                for x in range(self.fabric.cols)
-                if self.fabric.col_type(x) == BRAM_COL
-            ]
+            bram_cols = self.fabric.kind_cols[BRAM_COL]
             # Serpentine walk (left-to-right columns, alternating row
             # direction): consecutive bank indices are always physically
             # adjacent, with no discontinuity anywhere.  Logic that talks
@@ -414,38 +405,6 @@ class Placer:
         return placement
 
     # -- refinement ------------------------------------------------------
-    def _refine(
-        self,
-        cells: List[Cell],
-        neighbors: Dict[str, List[str]],
-        occupancy: Occupancy,
-        placement: Placement,
-        ctx: Optional[_RefineContext] = None,
-        threshold: float = REFINE_OUTLIER_MIN,
-    ) -> int:
-        """Re-seat outlier cells, committing only strict improvements.
-
-        ``threshold`` is the outlier cutoff (see :data:`REFINE_OUTLIER_REL`
-        — scale-relative, so the attempted-trial count stays linear in
-        design size).  A move is accepted only when it reduces the cell's
-        worst distance to its neighbors by a clear margin — this keeps each
-        pass monotone per cell and avoids the displacement cascades a naive
-        move-to-centroid sweep causes.
-
-        Dispatches on :attr:`refine_engine`; both engines accept the exact
-        same move sequence (the fast one only elides provably-identical
-        failed trials and caches neighborhood summaries).
-        """
-        if self.refine_engine == "reference":
-            return self._refine_reference(
-                cells, neighbors, occupancy, placement, threshold
-            )
-        return self._refine_fast(
-            cells, neighbors, occupancy, placement,
-            ctx if ctx is not None else _RefineContext(),
-            threshold,
-        )
-
     @staticmethod
     def _neighbor_state(
         name: str,
@@ -523,7 +482,7 @@ class Placer:
         placement.put(cell, x, y, old_radius)
         return False
 
-    def _refine_fast(
+    def _refine(
         self,
         cells: List[Cell],
         neighbors: Dict[str, List[str]],
@@ -532,6 +491,18 @@ class Placer:
         ctx: _RefineContext,
         threshold: float = REFINE_OUTLIER_MIN,
     ) -> int:
+        """Re-seat outlier cells, committing only strict improvements.
+
+        ``threshold`` is the outlier cutoff (see :data:`REFINE_OUTLIER_REL`
+        — scale-relative, so the attempted-trial count stays linear in
+        design size).  A move is accepted only when it reduces the cell's
+        worst distance to its neighbors by a clear margin — this keeps each
+        pass monotone per cell and avoids the displacement cascades a naive
+        move-to-centroid sweep causes.  ``ctx`` caches neighborhood
+        summaries and elides provably-identical failed trials, so the
+        accepted moves are those of a naive pass that rebuilds every
+        summary and attempts every trial.
+        """
         moved = 0
         states = ctx.states
         for cell in cells:
@@ -572,26 +543,6 @@ class Placer:
                 box = occupancy.last_search
                 if box is not None:
                     ctx.fail_guard[name] = (box, frozenset(before))
-        return moved
-
-    def _refine_reference(
-        self,
-        cells: List[Cell],
-        neighbors: Dict[str, List[str]],
-        occupancy: Occupancy,
-        placement: Placement,
-        threshold: float = REFINE_OUTLIER_MIN,
-    ) -> int:
-        """Naive engine: rebuild every summary, attempt every trial."""
-        moved = 0
-        for cell in cells:
-            if cell.kind is CellKind.PORT:
-                continue
-            st = self._neighbor_state(cell.name, neighbors, placement)
-            if st.count == 0:
-                continue
-            if self._refine_trial(cell, st, occupancy, placement, threshold):
-                moved += 1
         return moved
 
     # ------------------------------------------------------------------
@@ -688,7 +639,7 @@ class Placer:
         chunks: Tuple[Tuple[int, int, int], ...],
         occupancy: Occupancy,
     ) -> Optional[List[Tuple[int, int, int]]]:
-        """Re-take a recorded chunk list directly (no spiral search).
+        """Re-take a recorded chunk list directly (no capacity search).
 
         Returns ``None`` — releasing any partial takes — if the capacity is
         not exactly available, so the caller falls back to fresh allocation

@@ -15,7 +15,7 @@ work of the stages that **do** re-run:
   the emitter logic.
 * ``place`` — the previous run's greedy-placement trajectory.  Cells whose
   neighborhood state is unchanged re-take their recorded tile chunks
-  (skipping the spiral free-capacity search); the first divergence falls
+  (skipping the occupancy's capacity search); the first divergence falls
   back to fresh allocation for the rest of the order.
 * ``overlay`` — a persistent in-process
   :class:`~repro.pipeline.store.MemoryStageStore` shared by every run of

@@ -1,10 +1,20 @@
 """Tests for the fabric model and the placer."""
 
+import random
+
 import pytest
 
+from oracles import spiral
 from repro.errors import PhysicalError, PlacementError
 from repro.physical.device import DEVICES, get_device
-from repro.physical.fabric import BRAM_COL, CLB, DSP_COL, Fabric, Occupancy
+from repro.physical.fabric import (
+    BRAM_COL,
+    CLB,
+    DSP_COL,
+    KIND_CAPACITY,
+    Fabric,
+    Occupancy,
+)
 from repro.physical.placement import Placer
 from repro.rtl.netlist import CellKind, Netlist
 
@@ -50,22 +60,22 @@ class TestFabric:
         assert max(gaps) <= 4 * (fabric.cols // len(bram_cols))
 
     def test_ring_radius_zero(self, fabric):
-        assert list(fabric.ring(5, 5, 0)) == [(5, 5)]
+        assert list(spiral.ring(fabric, 5, 5, 0)) == [(5, 5)]
 
     def test_ring_counts(self, fabric):
-        ring1 = list(fabric.ring(50, 50, 1))
+        ring1 = list(spiral.ring(fabric, 50, 50, 1))
         assert len(ring1) == 8
         assert len(set(ring1)) == 8
 
     def test_ring_clipped_at_border(self, fabric):
-        ring = list(fabric.ring(0, 0, 1))
-        assert all(fabric.in_bounds(x, y) for x, y in ring)
+        ring = list(spiral.ring(fabric, 0, 0, 1))
+        assert all(spiral.in_bounds(fabric, x, y) for x, y in ring)
         assert len(ring) == 3
 
     def test_nearest_tiles_ordered_by_distance(self, fabric):
         cx, cy = fabric.center
         tiles = []
-        gen = fabric.nearest_tiles(cx, cy, CLB)
+        gen = spiral.nearest_tiles(fabric, cx, cy, CLB)
         for _ in range(50):
             tiles.append(next(gen))
         dists = [max(abs(x - cx), abs(y - cy)) for x, y in tiles]
@@ -106,6 +116,84 @@ class TestOccupancy:
         occ = Occupancy(fabric)
         with pytest.raises(PlacementError):
             occ.allocate(*fabric.center, DSP_COL, 10_000)
+
+
+def _prefilled(fabric, rng):
+    """An occupancy with a packed block, scattered full and partial tiles,
+    and holes released back into it."""
+    occ = Occupancy(fabric)
+    bx0, bx1 = sorted(rng.randrange(fabric.cols) for _ in range(2))
+    by0, by1 = sorted(rng.randrange(fabric.rows) for _ in range(2))
+    for x in range(fabric.cols):
+        cap = fabric.tile_capacity(x)
+        for y in range(fabric.rows):
+            if bx0 <= x <= bx1 and by0 <= y <= by1:
+                occ.take(x, y, cap)
+            elif rng.random() < 0.25:
+                occ.take(x, y, cap if rng.random() < 0.5 else rng.randint(1, cap))
+    for (x, y), used in list(occ._used.items()):
+        if rng.random() < 0.1:
+            occ.release([(x, y, used if rng.random() < 0.5 else rng.randint(1, used))])
+    return occ
+
+
+def _outcome(occ, cx, cy, kind, amount, search):
+    try:
+        result = search(occ, cx, cy, kind, amount)
+    except PlacementError as exc:
+        result = ("PlacementError", str(exc))
+    return result, dict(occ._used), occ.last_search
+
+
+@pytest.mark.parametrize("kind", (CLB, BRAM_COL, DSP_COL))
+@pytest.mark.parametrize("device", sorted(DEVICES))
+def test_allocate_matches_full_spiral(device, kind):
+    """The column-restricted search equals the full-spiral oracle: same
+    chunks in the same order, same occupancy afterwards (partial takes
+    included on exhaustion) and the same ``last_search`` box."""
+    fabric = Fabric(get_device(device))
+    cap = KIND_CAPACITY[kind]
+    cols, rows = fabric.cols, fabric.rows
+    for seed in range(3):
+        rng = random.Random(f"{device}-{kind}-{seed}")
+        fast = _prefilled(fabric, rng)
+        ref = Occupancy(fabric)
+        ref._used = dict(fast._used)
+        centers = [
+            (0, 0), (cols - 1, 0), (0, rows - 1), (cols - 1, rows - 1),
+            (cols // 2, 0), (cols - 1, rows // 2), (cols // 2, rows - 1),
+            (0, rows // 2), fabric.center,
+        ] + [(rng.randrange(cols), rng.randrange(rows)) for _ in range(4)]
+        rng.shuffle(centers)
+        taken = []
+        for i, (cx, cy) in enumerate(centers):
+            amount = (
+                1, rng.randint(2, 4 * cap), cap * rng.randint(5, 80)
+            )[i % 3]
+            got = _outcome(fast, cx, cy, kind, amount, Occupancy.allocate)
+            want = _outcome(ref, cx, cy, kind, amount, spiral.allocate)
+            assert got == want, (device, kind, seed, cx, cy, amount)
+            taken.append(got[0])
+            if rng.random() < 0.3:
+                # Release an earlier allocation: a hole amid newer takes.
+                chunks = taken.pop(rng.randrange(len(taken)))
+                if isinstance(chunks, list):
+                    fast.release(chunks)
+                    ref.release(chunks)
+        # Exhaustion: more than everything still free of this kind.
+        free = sum(
+            fast.free_at(x, y)
+            for x in fabric.kind_cols[kind]
+            for y in range(rows)
+        )
+        cx, cy = rng.choice(centers)
+        got = _outcome(fast, cx, cy, kind, free + 1, Occupancy.allocate)
+        want = _outcome(ref, cx, cy, kind, free + 1, spiral.allocate)
+        assert got == want, (device, kind, seed, cx, cy, "exhaustion")
+        assert got[0][0] == "PlacementError"
+        assert all(
+            fast.free_at(x, y) == 0 for x in fabric.kind_cols[kind] for y in range(rows)
+        )
 
 
 def chain_netlist(n=20):

@@ -7,9 +7,10 @@ pure optimization: over randomized netlists and every registered-design
 shape knob we can cheaply reach, both engines must accept the *same*
 moves and land every cell on the *same* tiles.
 
-``Placer.refine_engine`` selects the engine; everything upstream of
-phase 3 (BRAM serpentine, greedy seating) is identical for a fixed seed,
-so whole-``place()`` comparison isolates the refine rewrite.
+The reference engine is :class:`oracles.refine.ReferenceRefinePlacer`, a
+``Placer`` subclass that overrides only the refine pass; everything
+upstream of phase 3 (BRAM serpentine, greedy seating) is identical for a
+fixed seed, so whole-``place()`` comparison isolates the refine rewrite.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 
 import pytest
 
+from oracles.refine import ReferenceRefinePlacer
 from repro.physical.device import get_device
 from repro.physical.fabric import Fabric
 from repro.physical.placement import Placer
@@ -54,9 +56,11 @@ def _random_netlist(seed: int, n_cells: int) -> Netlist:
     return netlist
 
 
+ENGINES = {"fast": Placer, "reference": ReferenceRefinePlacer}
+
+
 def _place(engine: str, netlist: Netlist, seed: int, device: str):
-    placer = Placer(Fabric(get_device(device)), seed=seed)
-    placer.refine_engine = engine  # instance override, class default "fast"
+    placer = ENGINES[engine](Fabric(get_device(device)), seed=seed)
     placement = placer.place(netlist, refine_passes=3)
     return placement, placer
 
@@ -73,18 +77,23 @@ def test_fast_refine_matches_reference_on_random_netlists(seed):
     assert fast_placer._chunks == ref_placer._chunks
 
 
-class _RecordingPlacer(Placer):
-    """Records every accepted refine move, in acceptance order."""
+def _recording(base):
+    """``base`` extended to record every accepted refine move, in order."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.accepted = []
+    class Recording(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.accepted = []
 
-    def _refine_trial(self, cell, st, occupancy, placement, threshold):
-        result = super()._refine_trial(cell, st, occupancy, placement, threshold)
-        if result:
-            self.accepted.append(cell.name)
-        return result
+        def _refine_trial(self, cell, st, occupancy, placement, threshold):
+            result = super()._refine_trial(
+                cell, st, occupancy, placement, threshold
+            )
+            if result:
+                self.accepted.append(cell.name)
+            return result
+
+    return Recording
 
 
 def test_engines_agree_on_accepted_move_sequence():
@@ -97,9 +106,8 @@ def test_engines_agree_on_accepted_move_sequence():
     """
     netlist = _random_netlist(99, n_cells=160)
     moves = {}
-    for engine in ("fast", "reference"):
-        placer = _RecordingPlacer(Fabric(get_device("aws-f1")), seed=7)
-        placer.refine_engine = engine
+    for engine, base in ENGINES.items():
+        placer = _recording(base)(Fabric(get_device("aws-f1")), seed=7)
         placer.place(netlist, refine_passes=3)
         moves[engine] = placer.accepted
     assert moves["fast"], "refine accepted no moves — test is vacuous"
