@@ -522,10 +522,12 @@ class Placer:
                 # unmoved and the occupancy the failed search examined is
                 # untouched, so re-running it must fail again.
                 continue
-            before = {(x, y) for x, y, _u in self._chunks.get(name, ())}
+            # A trial swaps in new chunk lists and never mutates the old one.
+            old_chunks = self._chunks.get(name, ())
             accepted = self._refine_trial(cell, st, occupancy, placement, threshold)
             if accepted is None:
                 continue
+            before = {(x, y) for x, y, _u in old_chunks}
             if accepted:
                 moved += 1
                 for nbr in neighbors[name]:

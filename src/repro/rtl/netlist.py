@@ -392,32 +392,30 @@ class Netlist:
         self._check_comb_loops()
 
     def _check_indexes(self) -> None:
-        """Verify the maintained indexes still mirror the net structure —
-        catches raw dict mutation that bypassed the netlist APIs."""
-        driver_counts: Dict[str, int] = {}
-        pin_counts: Dict[str, int] = {}
+        """Verify the maintained indexes equal indexes rebuilt from ``nets``
+        in insertion order: the same entries in the same order.  Catches
+        raw dict mutation that bypassed the netlist APIs as well as a pin
+        order that drifted from the one STA tie-breaks rely on."""
+        input_pins: Dict[str, List[Tuple[Net, str]]] = {
+            name: [] for name in self._input_pins
+        }
+        driver_nets: Dict[str, List[Net]] = {name: [] for name in self._driver_nets}
         for net in self.nets.values():
             if net._owner is not self:
                 raise RTLError(f"net {net.name!r} not owned by netlist {self.name!r}")
-            driver_counts[net.driver.name] = driver_counts.get(net.driver.name, 0) + 1
-            if net not in self._driver_nets.get(net.driver.name, ()):
-                raise RTLError(f"net {net.name!r} missing from driver index")
+            driver_nets.setdefault(net.driver.name, []).append(net)
             for cell, pin in net.sinks:
-                pin_counts[cell.name] = pin_counts.get(cell.name, 0) + 1
-                if not any(
-                    e[0] is net and e[1] == pin
-                    for e in self._input_pins.get(cell.name, ())
-                ):
-                    raise RTLError(
-                        f"net {net.name!r} sink ({cell.name!r}, {pin!r}) "
-                        f"missing from input-pin index"
-                    )
-        for name, driven in self._driver_nets.items():
-            if len(driven) != driver_counts.get(name, 0):
-                raise RTLError(f"driver index for {name!r} has stale entries")
-        for name, pins in self._input_pins.items():
-            if len(pins) != pin_counts.get(name, 0):
-                raise RTLError(f"input-pin index for {name!r} has stale entries")
+                input_pins.setdefault(cell.name, []).append((net, pin))
+        for label, rebuilt, kept in (
+            ("driver", driver_nets, self._driver_nets),
+            ("input-pin", input_pins, self._input_pins),
+        ):
+            if rebuilt != kept:
+                name = min(n for n in rebuilt if rebuilt[n] != kept.get(n))
+                raise RTLError(
+                    f"{label} index for {name!r} does not match the nets "
+                    f"(missing, stale or out-of-order entries)"
+                )
 
     def _check_comb_loops(self) -> None:
         """Detect combinational cycles (sequential cells break paths)."""

@@ -10,6 +10,7 @@ is precisely what the broadcast-aware pass hunts for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 from repro.errors import SchedulingError
@@ -99,56 +100,52 @@ class Schedule:
         entries = self.ops_in_cycle(cycle)
         return max((e.end_ns for e in entries), default=0.0)
 
-    def stage_values(self, cycle: int) -> List[Value]:
-        """Values that must be registered at the end of ``cycle``.
+    def width_profile(self) -> List[int]:
+        """Registered bits crossing each cycle boundary (length = depth).
 
-        A value needs a pipeline register at cycle c when it is available at
-        or before c and is consumed strictly after c (or is a live-out
-        produced at c).  The widths of these value sets form the stage-width
-        profile the min-area skid buffer DP consumes (Fig. 17).
+        Entry ``c`` is the width of the boundary after cycle ``c``, the
+        profile the min-area skid buffer DP consumes (Fig. 17).  It counts:
+
+        * every non-constant value available at or before ``c`` and consumed
+          strictly after it, or a live-out produced at or before ``c`` (held
+          through the last stage);
+        * every multi-cycle entry issued at or before ``c`` that finishes
+          after it: a CALL holds its ``attrs['stage_width']`` (the
+          sub-module's bits per internal stage), any other op its result.
+
+        One difference-array sweep over those spans: O(values + entries +
+        depth).
         """
-        alive: List[Value] = []
+        depth = self.depth
+        delta = [0] * (depth + 1)
         for value in self.dfg.values.values():
             if value.is_const:
                 continue
-            if value.producer is not None and value.producer.result is not value:
+            producer = value.producer
+            if producer is not None and producer.result is not value:
                 continue
             avail = self.cycle_of_value(value)
-            if avail > cycle:
+            if value.uses:
+                end = max(self.entry(use).cycle for use in value.uses)
+            elif producer is not None:
+                end = depth  # live-out: registered through the last stage
+            else:
                 continue
-            consumers = value.uses
-            if not consumers:
-                # Live-out: keep it registered through the last stage.
-                if value.producer is not None and avail <= cycle:
-                    alive.append(value)
-                continue
-            if any(self.entry(use).cycle > cycle for use in consumers):
-                alive.append(value)
-        return alive
-
-    def stage_width(self, cycle: int) -> int:
-        """Total registered bits crossing the boundary after ``cycle``.
-
-        Sub-module instances (CALL ops) may declare ``attrs['stage_width']``
-        — the bits held per internal pipeline stage; those bits occupy every
-        boundary the call's execution spans.
-        """
-        width = sum(v.type.bits for v in self.stage_values(cycle))
+            if avail < end:
+                delta[avail] += value.type.bits
+                delta[end] -= value.type.bits
         for entry in self.entries.values():
-            op = entry.op
-            if entry.cycle <= cycle < entry.finish_cycle:
+            if entry.cycle < entry.finish_cycle:
+                op = entry.op
                 if op.opcode.value == "call":
-                    # Sub-modules declare their internal per-stage width.
-                    width += int(op.attrs.get("stage_width", 0))
+                    bits = int(op.attrs.get("stage_width", 0))
                 elif op.result is not None:
-                    # A multi-cycle operator (pipelined core, memory port)
-                    # holds its value in flight across these boundaries.
-                    width += op.result.type.bits
-        return width
-
-    def width_profile(self) -> List[int]:
-        """Stage widths after every cycle boundary (length = depth)."""
-        return [self.stage_width(c) for c in range(self.depth)]
+                    bits = op.result.type.bits
+                else:
+                    continue
+                delta[entry.cycle] += bits
+                delta[entry.finish_cycle] -= bits
+        return list(accumulate(delta[:depth]))
 
     def has_violations(self) -> bool:
         return bool(self.violations)

@@ -3,9 +3,10 @@
 This is the formulation :meth:`repro.physical.fabric.Occupancy.allocate`
 replaced.  It walks every in-bounds tile of every Chebyshev ring around
 the target and drops the tiles whose column is the wrong kind only after
-generating them.  The production search walks only the columns of the
-requested kind; the equivalence tests assert that both return the same
-chunks, leave the same occupancy and record the same ``last_search`` box.
+generating them.  The production search visits only the tiles of the
+requested kind that still have free capacity; the equivalence tests
+assert that both return the same chunks, leave the same occupancy and
+record the same ``last_search`` box.
 """
 
 from __future__ import annotations

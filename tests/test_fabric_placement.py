@@ -117,6 +117,14 @@ class TestOccupancy:
         with pytest.raises(PlacementError):
             occ.allocate(*fabric.center, DSP_COL, 10_000)
 
+    def test_allocate_off_die_rejected(self):
+        fabric = Fabric(get_device("zc706"))
+        occ = Occupancy(fabric)
+        for cx, cy in ((-1, 0), (fabric.cols, 0), (0, -1), (0, fabric.rows)):
+            with pytest.raises(ValueError):
+                occ.allocate(cx, cy, CLB, 1)
+        assert occ._used == {}
+
 
 def _prefilled(fabric, rng):
     """An occupancy with a packed block, scattered full and partial tiles,
@@ -194,6 +202,80 @@ def test_allocate_matches_full_spiral(device, kind):
         assert all(
             fast.free_at(x, y) == 0 for x in fabric.kind_cols[kind] for y in range(rows)
         )
+
+
+def _index_from_used(occ):
+    """The free-tile masks rebuilt from scratch out of ``occ._used``."""
+    fabric = occ.fabric
+    row_free = {
+        kind: [(1 << len(xs)) - 1] * fabric.rows
+        for kind, xs in fabric.kind_cols.items()
+    }
+    col_free = [(1 << fabric.rows) - 1] * fabric.cols
+    for (x, y), used in occ._used.items():
+        if used >= fabric.tile_capacity(x):
+            kind = fabric.col_type(x)
+            row_free[kind][y] &= ~(1 << fabric.kind_cols[kind].index(x))
+            col_free[x] &= ~(1 << y)
+    return row_free, col_free
+
+
+@pytest.mark.parametrize("kind", (CLB, BRAM_COL, DSP_COL))
+@pytest.mark.parametrize("device", sorted(DEVICES))
+def test_free_index_tracks_occupancy(device, kind):
+    """After every take, release and allocate, including partial releases
+    and an exhausting allocation, the free-tile masks equal masks rebuilt
+    from the use counts."""
+    fabric = Fabric(get_device(device))
+    cap = KIND_CAPACITY[kind]
+    rng = random.Random(f"index-{device}-{kind}")
+    occ = _prefilled(fabric, rng)
+
+    def check(step):
+        assert (occ._row_free, occ._col_free) == _index_from_used(occ), step
+
+    check("prefilled")
+    held = []
+    for step in range(80):
+        op = rng.random()
+        if op < 0.3:
+            x, y = rng.randrange(fabric.cols), rng.randrange(fabric.rows)
+            got = occ.take(x, y, rng.randint(1, fabric.tile_capacity(x)))
+            if got:
+                held.append([(x, y, got)])
+        elif op < 0.45 and held:
+            occ.release(held.pop(rng.randrange(len(held))))
+        elif op < 0.6 and held:
+            # Give back part of one chunk and keep the rest.
+            chunks = held[rng.randrange(len(held))]
+            j = rng.randrange(len(chunks))
+            x, y, units = chunks[j]
+            part = rng.randint(1, units)
+            occ.release([(x, y, part)])
+            if part < units:
+                chunks[j] = (x, y, units - part)
+            else:
+                chunks.pop(j)
+                if not chunks:
+                    held.remove(chunks)
+        else:
+            cx, cy = rng.randrange(fabric.cols), rng.randrange(fabric.rows)
+            try:
+                held.append(occ.allocate(cx, cy, kind, rng.randint(1, 40 * cap)))
+            except PlacementError:
+                pass
+        check(step)
+    free = sum(
+        occ.free_at(x, y) for x in fabric.kind_cols[kind] for y in range(fabric.rows)
+    )
+    with pytest.raises(PlacementError):
+        occ.allocate(*fabric.center, kind, free + 1)
+    check("exhausted")
+    assert not any(occ._row_free[kind])
+    assert not any(occ._col_free[x] for x in fabric.kind_cols[kind])
+    for chunks in held:
+        occ.release(chunks)
+        check("released")
 
 
 def chain_netlist(n=20):

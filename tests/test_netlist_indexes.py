@@ -108,6 +108,45 @@ class TestMutations:
             nl.validate()
 
 
+class TestValidateCatchesCorruption:
+    """Each way the indexes can drift from the nets fails ``validate``."""
+
+    @staticmethod
+    def _two_input() -> Netlist:
+        nl = Netlist("corrupt")
+        a = nl.new_cell("a", CellKind.FF)
+        b = nl.new_cell("b", CellKind.FF)
+        sink = nl.new_cell("s", CellKind.LOGIC)
+        nl.connect("n1", a, [(sink, "i0")])
+        nl.connect("n2", b, [(sink, "i1")])
+        nl.validate()
+        return nl
+
+    def test_dropped_pin_entry(self):
+        nl = self._two_input()
+        del nl._input_pins["s"][1]
+        with pytest.raises(RTLError, match="input-pin index for 's'"):
+            nl.validate()
+
+    def test_reordered_pin_list(self):
+        nl = self._two_input()
+        nl._input_pins["s"].reverse()  # same entries, scan order broken
+        with pytest.raises(RTLError, match="input-pin index for 's'"):
+            nl.validate()
+
+    def test_stale_extra_driver_entry(self):
+        nl = self._two_input()
+        nl._driver_nets["a"].append(nl.nets["n2"])
+        with pytest.raises(RTLError, match="driver index for 'a'"):
+            nl.validate()
+
+    def test_net_owned_by_another_netlist(self):
+        nl = self._two_input()
+        nl.nets["n1"]._owner = Netlist("other")
+        with pytest.raises(RTLError, match="not owned"):
+            nl.validate()
+
+
 class TestPickling:
     def test_netlist_roundtrip(self):
         nl = _mini()

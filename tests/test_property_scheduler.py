@@ -26,6 +26,7 @@ from repro.scheduling.chaining import (
 from repro.scheduling.report import emit_report, parse_report
 
 from conftest import make_synthetic_table
+from oracles import widths
 
 # Instruction stream encoding: each element appends one op whose operands
 # are drawn (by index) from the values produced so far.
@@ -124,7 +125,8 @@ class TestSchedulerInvariants:
         call_like = sum(
             1 for e in schedule.entries.values() if effective_latency(e.op) > 0
         )
-        for cycle in range(schedule.depth):
-            width = schedule.stage_width(cycle)
+        profile = schedule.width_profile()
+        assert profile == widths.width_profile(schedule)
+        for width in profile:
             assert width >= 0
             assert width <= total_bits + 32 * call_like

@@ -2,13 +2,18 @@
 
 import pytest
 
+from oracles import widths
 from repro.delay.hls_model import HlsDelayModel
 from repro.delay.tables import hls_predicted_delay
+from repro.designs.registry import build_design, design_names
 from repro.errors import SchedulingError
+from repro.flow import DEFAULT_CLOCK_MHZ, Flow
 from repro.ir.builder import DFGBuilder
 from repro.ir.ops import Opcode
 from repro.ir.program import Buffer, Fifo
 from repro.ir.types import f32, i32
+from repro.opt import CONFIG_LABELS
+from repro.pipeline import PassManager, build_stages
 from repro.scheduling.chaining import (
     CLOCK_MARGIN_NS,
     ChainingScheduler,
@@ -197,7 +202,7 @@ class TestStageWidths:
         r = b.reg(x)  # x -> reg crosses boundary 0 inside the REG
         b.add(r, r)
         sched = schedule(b.build())
-        assert sched.stage_width(0) >= 32
+        assert sched.width_profile()[0] >= 32
 
     def test_call_stage_width_attr(self):
         b = DFGBuilder()
@@ -206,13 +211,33 @@ class TestStageWidths:
         call.attrs["stage_width"] = 100
         b.add(call.result, call.result)
         sched = schedule(b.build())
+        profile = sched.width_profile()
         for boundary in range(0, 4):
-            assert sched.stage_width(boundary) >= 100
+            assert profile[boundary] >= 100
 
     def test_live_out_held_to_end(self):
         b = DFGBuilder()
         x = b.input("x", i32)
         y = b.reg(b.reg(x))  # live-out produced at cycle 2
         sched = schedule(b.build())
-        assert sched.stage_width(sched.depth - 1) >= 0
+        assert sched.width_profile()[sched.depth - 1] >= 0
         assert y.type.bits == 32
+
+
+@pytest.mark.parametrize("config", ("orig", "full"))
+@pytest.mark.parametrize("name", design_names(include_extra=True))
+def test_width_profile_matches_rescan(name, config, synthetic_table):
+    """The one-sweep profile equals the per-boundary rescan on every
+    loop schedule of every registered design, BASELINE and FULL."""
+    stages = build_stages()
+    through_scheduling = stages[: [s.name for s in stages].index("scheduling") + 1]
+    design = build_design(name)
+    clock_mhz = float(design.meta.get("clock_mhz", DEFAULT_CLOCK_MHZ))
+    ctx, _journal = PassManager(through_scheduling).execute(
+        Flow(calibration=synthetic_table),
+        CONFIG_LABELS[config],
+        {"design": design, "clock_ns": 1000.0 / clock_mhz},
+    )
+    assert ctx["schedules"]
+    for key, sched in ctx["schedules"].items():
+        assert sched.width_profile() == widths.width_profile(sched), key
