@@ -3,10 +3,9 @@
 The workload the incremental machinery is built for: re-running a
 broadcast-factor sweep.  One pass compiles every point from scratch
 (fresh flows, every reuse path disabled); a warm incremental flow then
-runs the same points twice — the first pass seeds the per-loop
-scheduling memos, the RTL tape, the placement trajectories and the
-persistent stage overlay, and the second pass re-visits every point as
-an unchanged sweep re-run.
+runs the same points twice — the first pass seeds the persistent stage
+overlay, and the second pass re-visits every point as an unchanged sweep
+re-run, every cacheable stage served from that overlay.
 
 Recorded into ``BENCH_flow.json`` under ``incremental_sweep``: per-pass
 scratch and warm-revisit wall clock, and the speedup.  Asserted: every

@@ -5,7 +5,7 @@ register fanning out to N adders, replication *disabled* so the broadcast
 net keeps its full fanout) and measures, per factor:
 
 * ``reference_s`` — the seed scan-based analyzer
-  (:class:`repro.physical.reference.ReferenceTimingAnalyzer`), which
+  (``ReferenceTimingAnalyzer`` in ``tests/oracles/sta.py``), which
   re-scans ``net.sinks`` per sink pin: O(Σ fanout²);
 * ``full_s`` — the production :class:`TimingAnalyzer` full analysis,
   O(pins) over the maintained pin index;
@@ -20,6 +20,8 @@ STA.  Results land in ``BENCH_flow.json`` under ``sta_scaling``.
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 from repro.delay.calibration import build_arith_skeleton
@@ -28,8 +30,11 @@ from repro.ir.types import i32
 from repro.physical.device import get_device
 from repro.physical.fabric import Fabric
 from repro.physical.placement import Placer
-from repro.physical.reference import ReferenceTimingAnalyzer
 from repro.physical.timing import TimingAnalyzer
+
+# The seed analyzer is a test oracle, not part of the package.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles.sta import ReferenceTimingAnalyzer  # noqa: E402
 
 #: Broadcast factors swept (Fig. 9's upper range, where the quadratic
 #: bites, extended two doublings beyond the calibration sweep's maximum —

@@ -149,9 +149,9 @@ def _add_flow_options(parser, jobs: bool = True) -> None:
     parser.add_argument(
         "--incremental", choices=("on", "off"), default=None,
         metavar="{on,off}",
-        help="incremental recompilation: per-loop scheduling/RTL memos, "
-             "placement trajectory reuse, and stage-output early cutoff "
-             "across the runs of one sweep (default: on unless "
+        help="incremental recompilation: a per-flow stage overlay and "
+             "stage-output early cutoff across the runs of one sweep "
+             "(default: on unless "
              "$REPRO_INCREMENTAL=off); results are bit-identical either "
              "way",
     )

@@ -1,7 +1,7 @@
 """mtime-LRU eviction shared by the on-disk caches.
 
-The stage store, the result store and the memo spill each keep one flat
-directory of entries named ``<key><suffix>``.  An entry's recency is the
+The stage store and the result store each keep one flat directory of
+entries named ``<key><suffix>``.  An entry's recency is the
 mtime of its first present file in ``suffixes`` order (reads refresh it);
 victims go oldest first, ties broken by key.  Eviction reads directory
 metadata only: one ``os.listdir`` counts the entries, and only a directory

@@ -40,12 +40,7 @@ from repro.pipeline import (
     build_stages,
     stage_cache_enabled,
 )
-from repro.pipeline.incremental import (
-    IncrementalState,
-    MemoSpill,
-    coerce_incremental,
-    memo_spill_enabled_default,
-)
+from repro.pipeline.incremental import IncrementalState, coerce_incremental
 from repro.rtl.generator import GenResult
 from repro.rtl.resources import ResourceReport
 from repro.scheduling.schedule import Schedule
@@ -167,12 +162,9 @@ class Flow:
         incremental: Incremental-recompilation policy (see
             :mod:`repro.pipeline.incremental`).  ``None`` (default) is on
             unless ``$REPRO_INCREMENTAL`` is ``off``; ``False``/``"off"``
-            disables the per-loop scheduling/RTL memos, the placement
-            trajectory reuse, and content-digest early cutoff.  The memos
-            live on this instance and write-through to
-            ``$REPRO_CACHE_DIR/memos`` (``$REPRO_MEMO_SPILL=off`` keeps
-            them memory-only), so warm reuse survives process recycling;
-            results are bit-identical either way.
+            disables the per-flow stage overlay (which lives on this
+            instance and serves every run it makes) and content-digest
+            early cutoff.  Results are bit-identical either way.
     """
 
     #: Smoothing passes requested from the §4.1 characterization.
@@ -207,16 +199,9 @@ class Flow:
         return coerce_incremental(self.incremental)
 
     def _incremental_state(self) -> IncrementalState:
-        """Lazy per-instance incremental memo workspace.
-
-        The memos write-through to ``$REPRO_CACHE_DIR/memos`` (unless
-        ``$REPRO_MEMO_SPILL=off``), so a fresh ``Flow`` — a recycled
-        service worker, a new sweep process — warms up from whatever a
-        previous owner already scheduled/emitted/placed.
-        """
+        """Lazy per-instance incremental workspace (the stage overlay)."""
         if self._incremental_state_obj is None:
-            spill = MemoSpill() if memo_spill_enabled_default() else None
-            self._incremental_state_obj = IncrementalState(spill=spill)
+            self._incremental_state_obj = IncrementalState()
         return self._incremental_state_obj
 
     # ------------------------------------------------------------------

@@ -14,9 +14,9 @@ Four invariants, each a family of checks over one generated program:
   hit) and with caching disabled must yield identical
   :meth:`~repro.flow.FlowResult.result_digest` values.
 * **incremental** — recompiling at a bumped clock on a warm incremental
-  flow (per-loop scheduling memos, RTL tape replay, placement trajectory
-  reuse, persistent stage overlay) must be bit-identical to compiling the
-  bumped clock from scratch with every reuse path disabled.
+  flow (persistent stage overlay, content-digest early cutoff) must be
+  bit-identical to compiling the bumped clock from scratch with every
+  reuse path disabled.
 
 :func:`run_campaign` drives a whole seeded campaign, shrinks every failure
 to a minimal reproducer and writes it to the corpus directory.
@@ -302,9 +302,9 @@ def check_incremental(spec: ProgramSpec, calibration=None) -> List[Divergence]:
     """Incremental recompilation must be bit-identical to from-scratch.
 
     One warm flow compiles the program at its spec'd clock, then again at
-    a bumped clock — the second run rides the per-loop scheduling memo,
-    the RTL tape, the placement trajectory, and the persistent stage
-    overlay.  A fresh flow with every reuse path disabled compiles the
+    a bumped clock — the second run rides the persistent stage overlay
+    and, where the bump changes no schedule decision, the content-digest
+    early cutoff.  A fresh flow with every reuse path disabled compiles the
     bumped clock from scratch; the two bumped-clock results must agree
     bit-for-bit.
     """

@@ -14,7 +14,6 @@ but it captures the two mechanisms the paper's analysis rests on:
 from repro.physical.device import DEVICES, Device
 from repro.physical.fabric import Fabric
 from repro.physical.placement import Placement, Placer
-from repro.physical.reference import ReferenceTimingAnalyzer
 from repro.physical.replication import ReplicationConfig, replicate_high_fanout
 from repro.physical.timing import TimingAnalyzer, TimingResult
 
@@ -24,7 +23,6 @@ __all__ = [
     "Fabric",
     "Placer",
     "Placement",
-    "ReferenceTimingAnalyzer",
     "ReplicationConfig",
     "replicate_high_fanout",
     "TimingAnalyzer",

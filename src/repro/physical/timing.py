@@ -14,7 +14,7 @@ Engine shape (this is the TimerTop/OpenTimer-style incremental design):
   visited exactly once per run.  The seed implementation re-scanned the full
   ``net.sinks`` list per sink to find that one sink — O(Σ fanout²), ~1M pin
   visits for a 1024-sink enable broadcast
-  (:class:`repro.physical.reference.ReferenceTimingAnalyzer` preserves it
+  (``tests/oracles/sta.py``'s ``ReferenceTimingAnalyzer`` preserves it
   as the differential-testing oracle).
 * **Per-(net, sink, pin) delay memo** keyed on the driver/sink placement
   epochs and the net's fanout, so a placement write invalidates exactly the

@@ -32,9 +32,6 @@ DESIGN_DIGEST_SCHEMA = "repro-design-digest/1"
 #: Version tag of calibration-table content digests.
 TABLE_DIGEST_SCHEMA = "repro-calibration-table-digest/1"
 
-#: Version tag of per-loop structural digests (incremental memo keys).
-LOOP_DIGEST_SCHEMA = "repro-loop-digest/1"
-
 #: Version tag of schedule-decision content digests.
 SCHEDULE_DIGEST_SCHEMA = "repro-schedule-digest/1"
 
@@ -139,28 +136,6 @@ def design_digest(design: Design) -> str:
     )
 
 
-def loop_digest(kernel_name: str, loop: Any) -> str:
-    """Content digest of one kernel loop (body, pragmas, op attributes).
-
-    The incremental memo key for per-loop scheduling and RTL emission:
-    because :func:`_encode_dfg` covers every op attribute (including
-    ``extra_latency``), two loops alias only when a scheduler/emitter run
-    over them is guaranteed to make identical decisions.
-    """
-    return content_digest(
-        {
-            "schema": LOOP_DIGEST_SCHEMA,
-            "kernel": kernel_name,
-            "name": loop.name,
-            "trip_count": loop.trip_count,
-            "pipeline": bool(loop.pipeline),
-            "ii": loop.ii,
-            "unroll": loop.unroll,
-            "body": _encode_dfg(loop.body),
-        }
-    )
-
-
 def _encode_schedule_decisions(schedule: Any) -> Dict[str, Any]:
     """Canonical encoding of a schedule's *decisions*.
 
@@ -178,13 +153,6 @@ def _encode_schedule_decisions(schedule: Any) -> Dict[str, Any]:
             for name, e in schedule.entries.items()
         ],
     }
-
-
-def schedule_decisions_digest(schedule: Any) -> str:
-    """Content digest of one loop's schedule decisions."""
-    return content_digest(
-        {"schema": SCHEDULE_DIGEST_SCHEMA, **_encode_schedule_decisions(schedule)}
-    )
 
 
 def schedules_digest(schedules: Dict[Any, Any]) -> str:

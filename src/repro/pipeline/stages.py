@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.delay.calibrated import CalibratedDelayModel
 from repro.delay.hls_model import HlsDelayModel
 from repro.hashing import content_digest
@@ -45,19 +44,13 @@ from repro.physical.replication import replicate_high_fanout
 from repro.physical.retiming import retime_movable
 from repro.physical.spreading import spread_movable_chains
 from repro.physical.timing import TimingAnalyzer
-from repro.pipeline.digest import (
-    design_digest,
-    loop_digest,
-    schedules_digest,
-    table_digest,
-)
-from repro.pipeline.incremental import ensure_traced
+from repro.pipeline.digest import design_digest, schedules_digest, table_digest
 from repro.pipeline.stage import Stage
 from repro.rtl.generator import GenOptions, generate_netlist
 from repro.scheduling.broadcast_aware import broadcast_aware_schedule
 from repro.scheduling.chaining import ChainingScheduler
 from repro.scheduling.ii import analyze_ii
-from repro.scheduling.schedule import Schedule, ScheduledOp, Violation
+from repro.scheduling.schedule import Schedule
 from repro.sync.pruning import prune_synchronization
 
 #: ``cal_table`` content-digest placeholder when no table is resolved
@@ -181,16 +174,7 @@ class CalibrationStage(Stage):
 
 class SchedulingStage(Stage):
     """Schedule every loop body — baseline HLS model, or §4.1
-    broadcast-aware (which edits the lowered design in place).
-
-    With incremental recompilation on, each loop's decisions are memoized
-    on the flow instance keyed by (loop content, clock, model, table
-    content).  A sweep point that flips one pragma then re-schedules only
-    the flipped loop; every other loop replays its memo — the stored
-    ``extra_latency`` attribute edits are re-applied to this run's op
-    objects and the :class:`~repro.scheduling.schedule.Schedule` is rebuilt
-    around them, so the replay is indistinguishable from a re-run.
-    """
+    broadcast-aware (which edits the lowered design in place)."""
 
     name = "scheduling"
     inputs = ("lowered", "cal_table")
@@ -209,132 +193,25 @@ class SchedulingStage(Stage):
         schedules: Dict[Tuple[str, str], Schedule] = {}
         edits: List[str] = []
         cal_model: Optional[CalibratedDelayModel] = None
-        table = ctx["cal_table"]
         if config.broadcast_aware:
-            cal_model = CalibratedDelayModel(table)
+            cal_model = CalibratedDelayModel(ctx["cal_table"])
         hls_model = HlsDelayModel()
-        memo = table_key = None
-        if getattr(flow, "incremental_enabled", False):
-            memo = flow._incremental_state().sched
-            table_key = (
-                table_digest(table) if table is not None else _NO_TABLE_DIGEST
-            )
         for kernel, loop in lowered.all_loops():
-            key = None
-            if memo is not None:
-                key = (
-                    loop_digest(kernel.name, loop),
-                    clock_ns,
-                    bool(config.broadcast_aware),
-                    table_key,
+            if cal_model is not None:
+                result = broadcast_aware_schedule(loop.body, clock_ns, cal_model)
+                schedule = result.schedule
+                edits.extend(
+                    f"{kernel.name}/{loop.name}: {edit}" for edit in result.edits
                 )
-                hit = memo.get(key)
-                if hit is not None:
-                    schedule = self._replay_loop(kernel, loop, hit)
-                    schedules[(kernel.name, loop.name)] = schedule
-                    edits.extend(
-                        f"{kernel.name}/{loop.name}: {edit}"
-                        for edit in hit["edits"]
-                    )
-                    continue
-            schedule, loop_edits, snapshot = self._schedule_loop(
-                kernel, loop, clock_ns, cal_model, hls_model, memo is not None
-            )
+            else:
+                schedule = ChainingScheduler(hls_model, clock_ns).schedule(
+                    loop.body
+                )
             schedules[(kernel.name, loop.name)] = schedule
-            edits.extend(
-                f"{kernel.name}/{loop.name}: {edit}" for edit in loop_edits
-            )
-            if memo is not None:
-                memo.put(key, self._record_loop(loop, schedule, loop_edits, snapshot))
         span.set("loops", len(schedules))
         span.set("edits", len(edits))
         span.set("max_depth", max((s.depth for s in schedules.values()), default=0))
         return {"lowered": lowered, "schedules": schedules, "schedule_edits": edits}
-
-    @staticmethod
-    def _schedule_loop(kernel, loop, clock_ns, cal_model, hls_model, record):
-        """Schedule one loop; optionally under a snapshot-able span."""
-        if not record:
-            if cal_model is not None:
-                result = broadcast_aware_schedule(loop.body, clock_ns, cal_model)
-                return result.schedule, result.edits, None
-            schedule = ChainingScheduler(hls_model, clock_ns).schedule(loop.body)
-            return schedule, [], None
-        # Memoizing: wrap the work in a ``schedule-loop`` span (under a
-        # shadow tracer when none is active) so the memo carries a
-        # replayable snapshot — warm replays then report the producer's
-        # counters (``scheduling.registers_inserted`` etc.) exactly like
-        # stage-artifact hits do.
-        with ensure_traced():
-            with obs.span(
-                "schedule-loop", kernel=kernel.name, loop=loop.name
-            ) as lspan:
-                if cal_model is not None:
-                    result = broadcast_aware_schedule(loop.body, clock_ns, cal_model)
-                    schedule, loop_edits = result.schedule, result.edits
-                else:
-                    schedule = ChainingScheduler(hls_model, clock_ns).schedule(
-                        loop.body
-                    )
-                    loop_edits = []
-            return schedule, loop_edits, obs.snapshot_span(lspan)
-
-    @staticmethod
-    def _record_loop(loop, schedule, loop_edits, snapshot):
-        """Freeze one loop's scheduling decisions into a memo payload.
-
-        Everything is stored by *name* — replay re-binds against the next
-        run's op objects (same content, fresh identities after pragma
-        lowering).  ``extra_latency`` holds the in-place attribute edits
-        broadcast-aware scheduling made, so replay reproduces the mutated
-        design too.
-        """
-        return {
-            "model": schedule.model_name,
-            "entries": [
-                (name, e.cycle, e.start_ns, e.end_ns, e.finish_cycle, e.delay_ns)
-                for name, e in schedule.entries.items()
-            ],
-            "violations": [
-                (v.op.name, v.cycle, v.arrival_ns, v.budget_ns, v.reason)
-                for v in schedule.violations
-            ],
-            "clock_ns": schedule.clock_ns,
-            "extra_latency": {
-                op.name: int(op.attrs["extra_latency"])
-                for op in loop.body.ops
-                if "extra_latency" in op.attrs
-            },
-            "edits": list(loop_edits),
-            "span": snapshot,
-        }
-
-    @staticmethod
-    def _replay_loop(kernel, loop, hit) -> Schedule:
-        """Rebuild one loop's schedule from its memo payload."""
-        with obs.span(
-            "schedule-loop", kernel=kernel.name, loop=loop.name
-        ) as lspan:
-            obs.replay_span(lspan, hit["span"])
-            lspan.set("cached", True)
-        ops_by_name = {op.name: op for op in loop.body.ops}
-        for name, extra in hit["extra_latency"].items():
-            ops_by_name[name].attrs["extra_latency"] = extra
-        entries = {
-            name: ScheduledOp(ops_by_name[name], cycle, start, end, finish, delay)
-            for name, cycle, start, end, finish, delay in hit["entries"]
-        }
-        violations = [
-            Violation(ops_by_name[name], cycle, arrival, budget, reason)
-            for name, cycle, arrival, budget, reason in hit["violations"]
-        ]
-        return Schedule(
-            dfg=loop.body,
-            clock_ns=hit["clock_ns"],
-            model_name=hit["model"],
-            entries=entries,
-            violations=violations,
-        )
 
     def content_digests(self, flow, config, ctx, outputs):
         return {
@@ -375,14 +252,8 @@ class RtlGenStage(Stage):
 
     def run(self, flow, config, ctx, span):
         span.set("control", config.control.value)
-        memo = None
-        if getattr(flow, "incremental_enabled", False):
-            memo = flow._incremental_state().rtl
         gen = generate_netlist(
-            ctx["lowered"],
-            ctx["schedules"],
-            GenOptions(control=config.control),
-            incremental=memo,
+            ctx["lowered"], ctx["schedules"], GenOptions(control=config.control)
         )
         span.set("cells", len(gen.netlist.cells))
         span.set("nets", len(gen.netlist.nets))
@@ -404,19 +275,9 @@ class PlacementStage(Stage):
         span.set("cells", len(gen.netlist.cells))
         lowered = ctx["lowered"]
         fabric = Fabric(get_device(lowered.device))
-        placer = Placer(fabric, seed=flow.seed)
-        memo = key = None
-        if getattr(flow, "incremental_enabled", False):
-            memo = flow._incremental_state().place
-            key = (lowered.device, flow.seed, gen.anchor, config.label, lowered.name)
-        placement = placer.place(
-            gen.netlist,
-            anchor=gen.anchor,
-            reuse=memo.get(key) if memo is not None else None,
-            record=memo is not None,
+        placement = Placer(fabric, seed=flow.seed).place(
+            gen.netlist, anchor=gen.anchor
         )
-        if memo is not None and placer.trajectory is not None:
-            memo.put(key, placer.trajectory)
         return {"placement": placement}
 
 

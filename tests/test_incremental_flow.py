@@ -7,10 +7,10 @@ flow compiling the perturbed point from scratch with every reuse path
 disabled.  The perturbations are the three single-knob sweep moves the
 incremental machinery is built for:
 
-* **clock-bump** — same design, new clock target (per-loop scheduling
-  memos miss on clock, everything upstream of scheduling is overlay-skipped);
-* **pragma-flip** — one loop's pipeline pragma toggled (damage cone:
-  only the affected loop re-schedules / re-emits);
+* **clock-bump** — same design, new clock target (scheduling re-runs,
+  everything upstream of it is overlay-skipped, and the backend is cut
+  off when no schedule decision changed);
+* **pragma-flip** — one loop's pipeline pragma toggled;
 * **calibration-swap** — a perturbed calibration table injected
   (scheduling and downstream re-run; pragma/sync-pruning are skipped).
 """
@@ -22,6 +22,7 @@ import pytest
 from repro.designs import build_design, design_names
 from repro.flow import Flow
 from repro.opt import BASELINE, FULL
+from repro.pipeline.digest import schedules_digest
 
 CONFIGS = {"orig": BASELINE, "full": FULL}
 SCENARIOS = ("clock-bump", "pragma-flip", "calibration-swap")
@@ -30,6 +31,10 @@ SCENARIOS = ("clock-bump", "pragma-flip", "calibration-swap")
 #: 333 MHz in their meta) — a bump to a design's own default is a no-op
 #: the incremental machinery would rightly skip end-to-end.
 BUMPED_CLOCK_MHZ = 217
+
+#: A bump of matmul's 300 MHz target that changes no FULL schedule
+#: decision (asserted below as a precondition).
+CUTOFF_CLOCK_MHZ = 290
 
 
 def _flip_pragma(design):
@@ -63,7 +68,7 @@ def test_incremental_matches_scratch(
     inc = Flow(
         calibration=synthetic_table, stage_cache=False, incremental=True
     )
-    inc.run(build_design(design_name), config)  # seed memos + overlay
+    inc.run(build_design(design_name), config)  # seed the overlay
 
     scratch_kwargs = dict(
         calibration=synthetic_table, stage_cache=False, incremental=False
@@ -86,31 +91,6 @@ def test_incremental_matches_scratch(
 
     assert warm.fingerprint() == scratch.fingerprint()
     assert warm.result_digest() == scratch.result_digest()
-
-
-def test_incremental_reuse_actually_happens(synthetic_table):
-    """The pragma-flip path must ride the memos, not silently recompile.
-
-    Guards the equivalence suite against vacuity: if a digest-key change
-    made every memo miss, the tests above would still pass (both sides
-    compile from scratch) while the optimization is silently dead.  A
-    single-pragma flip leaves the untouched loop inside the damage cone's
-    complement: its schedule and RTL replay from the per-loop memos and
-    the placement trajectory prefix is reused.
-    """
-    from repro import obs
-
-    inc = Flow(
-        calibration=synthetic_table, stage_cache=False, incremental=True
-    )
-    inc.run(build_design("genome"), FULL)
-    tracer = obs.Tracer()
-    with obs.activate(tracer):
-        inc.run(_flip_pragma(build_design("genome")), FULL)
-    metrics = tracer.roots[0].aggregate_metrics()
-    assert metrics.counter("incremental.sched_hits") > 0
-    assert metrics.counter("incremental.rtl_hits") > 0
-    assert metrics.counter("placement.trajectory_steps_reused") > 0
 
 
 def test_clock_bump_skips_upstream_of_scheduling(synthetic_table):
@@ -143,3 +123,38 @@ def test_identical_rerun_skips_via_overlay(synthetic_table):
     skipped = [e for e in second.journal if e["action"] == "skipped"]
     assert skipped, "overlay produced no skips on an identical re-run"
     assert all(e["source"] == "overlay" for e in skipped)
+
+
+def test_clock_bump_cuts_off_backend_when_schedules_unchanged(synthetic_table):
+    """Early cutoff: re-run scheduling, replay rtl-gen onward.
+
+    Scheduling re-runs under the new clock, but when it reproduces the
+    same decisions its content digest leaves rtl-gen's input digest
+    unchanged, so rtl-gen and every stage after it are served from the
+    overlay — and the result still equals a from-scratch compile.
+    """
+    inc = Flow(
+        calibration=synthetic_table, stage_cache=False, incremental=True
+    )
+    first = inc.run(build_design("matmul"), FULL)
+    inc.clock_mhz = CUTOFF_CLOCK_MHZ
+    bumped = inc.run(build_design("matmul"), FULL)
+    assert schedules_digest(bumped.schedules) == schedules_digest(
+        first.schedules
+    ), "precondition: the bump must change no schedule decision"
+
+    journal = {e["stage"]: e for e in bumped.journal}
+    assert journal["scheduling"]["action"] == "run"
+    for stage in ("rtl-gen", "placement", "spreading", "replication",
+                  "retiming", "timing"):
+        assert journal[stage]["action"] == "skipped", stage
+        assert journal[stage]["source"] == "overlay", stage
+
+    scratch = Flow(
+        calibration=synthetic_table,
+        stage_cache=False,
+        incremental=False,
+        clock_mhz=CUTOFF_CLOCK_MHZ,
+    ).run(build_design("matmul"), FULL)
+    assert bumped.fingerprint() == scratch.fingerprint()
+    assert bumped.result_digest() == scratch.result_digest()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+import zlib
+
 import pytest
 
 from repro import obs
@@ -14,6 +18,7 @@ from repro.pipeline import (
     Stage,
     StageArtifactStore,
     build_stages,
+    decode_outputs,
     design_digest,
     encode_outputs,
     table_digest,
@@ -89,6 +94,51 @@ class TestStageArtifactStore:
         assert hit is not None
         assert hit.stage == "demo"
         assert hit.load() == {"x": [1, 2, 3]}
+
+    def test_payload_is_compressed_on_disk(self, tmp_path):
+        root = tmp_path / "stages"
+        store = StageArtifactStore(root=str(root))
+        payload = encode_outputs("demo", {"x": list(range(1000))})
+        store.put("c" * 8, payload, {"stage": "demo"})
+        on_disk = (root / ("c" * 8 + ".pkl")).read_bytes()
+        assert zlib.decompress(on_disk) == payload
+        assert len(on_disk) < len(payload)
+        hit = store.get("c" * 8)
+        assert hit.meta["payload_bytes"] == len(payload)
+        assert hit.load() == {"x": list(range(1000))}
+
+    def test_entry_of_older_layout_is_a_miss(self, tmp_path):
+        """A ``/1`` entry (raw pickle) is never handed to zlib."""
+        root = tmp_path / "stages"
+        root.mkdir()
+        bundle = {"schema": "repro-stage-store/1", "stage": "demo",
+                  "outputs": {"x": 1}}
+        (root / ("f" * 8 + ".pkl")).write_bytes(pickle.dumps(bundle, protocol=4))
+        (root / ("f" * 8 + ".json")).write_text(json.dumps(
+            {"schema": "repro-stage-store/1", "stage": "demo", "digest": "f" * 8}
+        ))
+        assert StageArtifactStore(root=str(root)).get("f" * 8) is None
+
+    def test_subclass_put_sees_raw_payload(self, tmp_path, synthetic_table):
+        """Instrumented stores (byte counters, timers) wrap ``put`` and see
+        the uncompressed pickle, whose length the sidecar records."""
+
+        class RecordingStore(StageArtifactStore):
+            def __init__(self, root):
+                super().__init__(root=root)
+                self.payloads = {}
+
+            def put(self, digest, payload, meta):
+                self.payloads[digest] = payload
+                return super().put(digest, payload, meta)
+
+        store = RecordingStore(str(tmp_path / "stages"))
+        flow = Flow(calibration=synthetic_table, stage_cache=store)
+        flow.run(make_mini_stream_design(depth=4096), BASELINE)
+        assert store.payloads
+        for digest, payload in store.payloads.items():
+            assert isinstance(decode_outputs(payload), dict)
+            assert store.get(digest).meta["payload_bytes"] == len(payload)
 
     def test_miss_is_none(self, tmp_path):
         store = StageArtifactStore(root=str(tmp_path / "stages"))

@@ -2,7 +2,7 @@
 
 The production :class:`TimingAnalyzer` (indexed, memoized, incremental)
 must reproduce the seed scan-based analyzer — preserved verbatim as
-:class:`repro.physical.reference.ReferenceTimingAnalyzer` — *bit for bit*:
+:class:`oracles.sta.ReferenceTimingAnalyzer` — *bit for bit*:
 same period/Fmax floats, same critical-path endpoints and hops, same
 per-class attribution, on every registered design under both the baseline
 and fully-optimized configs.  A second family of tests checks that
@@ -21,10 +21,11 @@ from repro.designs.registry import DESIGN_BUILDERS, build_design
 from repro.errors import PhysicalError
 from repro.flow import Flow
 from repro.opt import BASELINE, FULL
-from repro.physical.reference import ReferenceTimingAnalyzer
 from repro.physical.retiming import _apply_backward_move, _undo_backward_move
 from repro.physical.timing import TimingAnalyzer
 from repro.rtl.netlist import CellKind
+
+from oracles.sta import ReferenceTimingAnalyzer
 
 
 def _as_tuple(result):

@@ -1,7 +1,7 @@
 """LRU eviction of the on-disk stores, read from directory metadata only.
 
-The stage store, the result store and the memo spill share one eviction
-routine (:func:`repro.cachedir.evict_lru`).  These tests pin its contract:
+The stage store and the result store share one eviction routine
+(:func:`repro.cachedir.evict_lru`).  These tests pin its contract:
 
 * a write at or under the bound parses no sidecar and stats no file;
 * victims go in ``(mtime, key)`` order, the digest breaking mtime ties,
@@ -24,7 +24,6 @@ from repro import cachedir
 from repro.designs import build_design
 from repro.flow import Flow
 from repro.opt import BASELINE
-from repro.pipeline.incremental import MemoSpill
 from repro.pipeline.store import StageArtifactStore, encode_outputs
 from repro.service.request import FlowRequest
 from repro.service.store import STORE_SCHEMA, ResultStore
@@ -67,23 +66,7 @@ class _ResultKind(_StageKind):
         return key
 
 
-class _MemoKind:
-    suffixes = (".pkl",)
-
-    def __init__(self, root: str, max_entries: int) -> None:
-        self.store = MemoSpill(root=root, max_entries=max_entries)
-        self.store.PRUNE_EVERY = 1  # prune on every save, like the stores
-        self.root = root
-
-    def put(self, index: int) -> str:
-        self.store.save("sched", (index,), index)
-        return f"sched-{self.store._key_digest('sched', (index,))}"
-
-    def __len__(self) -> int:
-        return len(os.listdir(self.root))
-
-
-KINDS = {"stage": _StageKind, "result": _ResultKind, "memo": _MemoKind}
+KINDS = {"stage": _StageKind, "result": _ResultKind}
 
 
 def _age(kind, key: str, mtime: float) -> None:
