@@ -27,6 +27,16 @@ Artifact-bundling rules (why some outputs re-bind their inputs):
 * ``placement``/``spreading`` output only ``placement`` — a
   :class:`~repro.physical.placement.Placement` is keyed by cell *name*, so
   it stays coherent against any unpickled copy of the same netlist.
+
+Which bundles get pickled at all: ``placement``, ``spreading`` and
+``replication`` are sidecar-only checkpoints (``sidecar_only = True``).
+Each one's successor re-binds every key it outputs, so on a warm run the
+lazy context supersedes their bundles unread; they store their span
+snapshot and content digests with an empty bundle.  They still skip,
+journal and replay like any other stage, so a resumed worker keeps its
+eight-stage prefix.  A run that needs their outputs anyway (its successor
+missed, e.g. ``Flow(retime=False)`` over a store a default flow filled)
+re-runs them — see :mod:`repro.pipeline.manager`.
 """
 
 from __future__ import annotations
@@ -266,6 +276,7 @@ class PlacementStage(Stage):
     name = "placement"
     inputs = ("lowered", "gen")
     outputs = ("placement",)
+    sidecar_only = True
 
     def params(self, flow, config, ctx):
         return {"seed": flow.seed}
@@ -287,6 +298,7 @@ class SpreadingStage(Stage):
     name = "spreading"
     inputs = ("gen", "placement")
     outputs = ("placement",)
+    sidecar_only = True
 
     def run(self, flow, config, ctx, span):
         moved = spread_movable_chains(ctx["gen"].netlist, ctx["placement"])
@@ -301,6 +313,7 @@ class ReplicationStage(Stage):
     name = "replication"
     inputs = ("gen", "placement")
     outputs = ("gen", "placement")
+    sidecar_only = True
 
     def params(self, flow, config, ctx):
         rep = flow.replication

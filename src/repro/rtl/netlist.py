@@ -137,14 +137,21 @@ class Net:
         #: Registration sequence number within the owner (insertion order).
         self._seq: int = -1
 
-    # Support pickling despite __slots__ (FlowResults cross process
-    # boundaries in the experiment engine).
+    # Pickle the seven slots as one positional tuple: FlowResults and
+    # stage bundles carry thousands of nets, and a per-net state dict
+    # (built and read back by Python code) costs more to dump, store and
+    # load.  Field order is part of the store schemas.
     def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return (
+            self.name, self.kind, self.width, self._driver, self._sinks,
+            self._owner, self._seq,
+        )
 
     def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
+        (
+            self.name, self.kind, self.width, self._driver, self._sinks,
+            self._owner, self._seq,
+        ) = state
 
     @property
     def driver(self) -> Cell:

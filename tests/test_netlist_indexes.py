@@ -13,7 +13,11 @@ import pickle
 
 import pytest
 
+from repro.designs import build_design
 from repro.errors import RTLError
+from repro.flow import Flow
+from repro.opt import FULL
+from repro.physical.timing import TimingAnalyzer
 from repro.rtl.netlist import Cell, CellKind, Net, NetKind, Netlist
 
 
@@ -156,3 +160,20 @@ class TestPickling:
             (n.name, n._seq) for n in nl.nets.values()
         ]
         assert clone.input_net_of(clone.cells["c"]).name == "n_bc"
+
+    def test_flow_netlist_roundtrip_times_identically(self, synthetic_table):
+        """matmul's final netlist (after replication and retiming) survives
+        the tuple-state pickle: indexes validate and STA is unchanged."""
+        flow = Flow(calibration=synthetic_table, stage_cache=False)
+        result = flow.run(build_design("matmul"), FULL)
+        assert any(c.movable for c in result.gen.netlist.cells.values())
+        netlist, placement = pickle.loads(
+            pickle.dumps((result.gen.netlist, result.placement), protocol=4)
+        )
+        netlist.validate()
+        assert [(n.name, n._seq) for n in netlist.nets.values()] == [
+            (n.name, n._seq) for n in result.gen.netlist.nets.values()
+        ]
+        assert TimingAnalyzer(netlist, placement).analyze() == TimingAnalyzer(
+            result.gen.netlist, result.placement
+        ).analyze()
