@@ -11,8 +11,9 @@ runs), then plays the three request paths against it over HTTP:
 3. a **warm** submission — the same request once more, served straight
    from the store without spawning a worker.
 
-Finally the full :class:`~repro.flow.FlowResult` is rehydrated from the
-store by digest — the HTTP surface only ever carries light JSON records.
+Finally the result's record (fingerprint, timing report, stage journal)
+is read from the store by digest — the HTTP surface only ever carries
+JSON.
 
 Run with ``PYTHONPATH=src python examples/service_demo.py``.
 """
@@ -77,12 +78,13 @@ def main() -> None:
             f"result_hits={counters.get('service.result_hits', 0):.0f}"
         )
 
-        # The store holds the full FlowResult, addressable by digest.
+        # The store holds the result's record, addressable by digest.
         result = client.load_result(cold["digest"], store=server.service.store)
         print(
             f"rehydrated  : {result.design} [{result.config_label}] "
             f"Fmax={result.fmax_mhz:.0f}MHz, "
-            f"{len(result.gen.netlist.cells)} cells"
+            f"{result.fingerprint()['cells']} cells, "
+            f"critical {result.timing.path_class.value}"
         )
         assert result.result_digest() == cold["result_digest"]
 

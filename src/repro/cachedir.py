@@ -1,4 +1,10 @@
-"""mtime-LRU eviction shared by the on-disk caches.
+"""Atomic writes and mtime-LRU eviction shared by the on-disk caches.
+
+Every file the caches write (stage and result entries, calibration
+tables, trace documents and spools, quarantine records) goes through
+:func:`atomic_write`: a temp file in the target's directory, then
+``os.replace``, so a concurrent reader sees the old file or the new one,
+never a torn one.
 
 The stage store and the result store each keep one flat directory of
 entries named ``<key><suffix>``.  An entry's recency is the
@@ -14,12 +20,32 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Payload + sidecar entries (``<digest>.pkl`` + ``<digest>.json``).  The
 #: sidecar is written last and touched on every hit, so it carries recency;
 #: a payload left without one falls back to its own mtime.
 SIDECAR_SUFFIXES = (".json", ".pkl")
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file and ``os.replace``.
+
+    The temp file lives in ``path``'s directory (a rename never crosses a
+    filesystem) and is removed if the write fails.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _keys(names: Iterable[str], suffixes: Sequence[str]) -> Set[str]:
@@ -49,12 +75,16 @@ def scan_lru(
     return records
 
 
-def evict_lru(root: str, max_entries: int, suffixes: Sequence[str]) -> int:
+def evict_lru(
+    root: str, max_entries: int, suffixes: Sequence[str], keep: Optional[str] = None
+) -> int:
     """Unlink the least-recently-used entries beyond ``max_entries``.
 
     Each victim's mtime is re-checked against the scan before it goes: an
     entry rewritten or read since the scan is no longer least-recently-used
-    and is spared.  Returns the number of entries evicted.
+    and is spared.  ``keep`` (the entry a put just wrote) is never a
+    victim: readers refreshing every other entry during the put would
+    otherwise make it the oldest.  Returns the number of entries evicted.
     """
     try:
         names = os.listdir(root)
@@ -63,8 +93,9 @@ def evict_lru(root: str, max_entries: int, suffixes: Sequence[str]) -> int:
     if len(_keys(names, suffixes)) <= max_entries:
         return 0
     records = scan_lru(root, suffixes, names)
+    excess = len(records) - max_entries
     evicted = 0
-    for mtime, key in records[: len(records) - max_entries]:
+    for mtime, key in [r for r in records if r[1] != keep][:excess]:
         if _mtime(root, key, suffixes) != mtime:
             continue  # touched since the scan, or already gone
         for suffix in suffixes:

@@ -4,10 +4,12 @@ Each cluster node keeps its *own* result store (sharded by the ring), but
 any node can be asked for any digest — a router failing over, a client
 pinned to one node, a rebalanced ring.  :class:`PeerResultStore` makes
 that transparent: a local :meth:`get` miss consults the digest's owner
-replicas over ``GET /result/<digest>``, validates the downloaded payload
-(schema + digest match, via :meth:`ResultStore.put_bytes`), installs it
-locally (write-through, atomic), and serves the hit — so a digest
-compiled anywhere is a *local* hit everywhere it is requested twice.
+replicas over ``GET /result/<digest>``, checks the downloaded result
+record (:meth:`ResultStore.put_bytes`: JSON only, the fingerprint must
+hash to the record's result digest and the request to the digest
+asked for), installs it locally (write-through, atomic), and serves the
+hit — so a digest compiled anywhere is a *local* hit everywhere it is
+requested twice.  Peer bytes are data: nothing fetched is unpickled.
 
 The daemon's own ``/result`` route reads through :meth:`ResultStore.get_bytes`,
 which never consults peers — peer fetch cannot recurse or storm the fleet.
@@ -85,7 +87,7 @@ class PeerResultStore(ResultStore):
 
     def fetch_from_peers(self, digest: str) -> Optional[StoredResult]:
         """Try each owner replica once; install and return the first valid
-        payload.  Every outcome is observable but none is fatal — a miss
+        record.  Every outcome is observable but none is fatal — a miss
         just means the caller compiles."""
         registry = obs.global_registry()
         for info in self.owners_for(digest):
@@ -103,7 +105,7 @@ class PeerResultStore(ResultStore):
             if payload is None:
                 continue
             entry = self.put_bytes(digest, payload)
-            if entry is None:  # corrupt/mismatched payload; try next owner
+            if entry is None:  # not a valid record for digest; try next owner
                 self.peer_fetch_errors += 1
                 registry.add("cluster.peer_fetch_errors")
                 continue

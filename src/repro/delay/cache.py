@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro import hashing
+from repro.cachedir import atomic_write
 from repro.delay.calibrated import CalibrationTable
 from repro.delay.calibration import build_default_calibration
 from repro.errors import ReproError
@@ -135,16 +135,9 @@ def save_calibration(
         "smooth_passes": smooth_passes,
         "curves": table.to_dict(),
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(
+        os.path.abspath(path), json.dumps(payload, indent=2, sort_keys=True).encode()
+    )
 
 
 def read_provenance(path: str) -> CalibrationProvenance:

@@ -53,6 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_CLOCK_MHZ = 300.0
 
 
+def fingerprint_digest(fingerprint: Dict[str, object]) -> str:
+    """The result digest of a :meth:`FlowResult.fingerprint`; the one
+    recipe behind :meth:`FlowResult.result_digest` and the result store's
+    record check."""
+    return hashing.content_digest({"schema": "repro-flow-result/1", **fingerprint})
+
+
 @dataclass
 class FlowResult:
     """Everything one flow run produced."""
@@ -113,9 +120,7 @@ class FlowResult:
 
     def result_digest(self) -> str:
         """Canonical digest of :meth:`fingerprint` (see :mod:`repro.hashing`)."""
-        return hashing.content_digest(
-            {"schema": "repro-flow-result/1", **self.fingerprint()}
-        )
+        return fingerprint_digest(self.fingerprint())
 
     def summary(self) -> str:
         # Partial resource reports (e.g. a device with no DSP column) may

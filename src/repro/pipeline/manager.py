@@ -33,14 +33,15 @@ treated as a miss.  When the entry is a sidecar-only checkpoint, every
 sidecar-only entry the attempt hit is denied with it, so that case takes
 one retry.  A denied entry stays denied for the rest of the run even
 after its stage rewrote it, so the journal reports every damaged stage as
-``run``; a store with several damaged entries therefore costs one retry
-per damaged entry the run reads, each re-running the stages denied so
-far.  Entries are content-addressed, so a retry reads the same digests
-and every retry denies one more of them: the loop ends.  The retry drops
-the failed attempt's stage spans, so a run still reports one span, one
-journal record and one ``stage.hit``/``stage.miss`` event per stage; the
-events are emitted from the journal once the run is served, so a run
-that raises emits none.
+``run``.  Once a retry has started, every hit's payload is loaded at
+lookup, and one that fails is denied and re-run inside that attempt, so
+a store whose entries are all damaged costs one retry, not one per
+damaged entry.  Entries are content-addressed, so a retry reads the same
+digests and every retry denies at least one more of them: the loop ends.
+The retry drops the failed attempt's stage spans, so a run still reports
+one span, one journal record and one ``stage.hit``/``stage.miss`` event
+per stage; the events are emitted from the journal once the run is
+served, so a run that raises emits none.
 
 The manager also keeps a journal — one record per stage with its digest,
 whether it ran or was skipped, and where the hit came from.  The journal
@@ -75,6 +76,20 @@ class _Unloadable(Exception):
     def __init__(self, digest: str) -> None:
         super().__init__(digest)
         self.digest = digest
+
+
+class _Loaded:
+    """A hit whose outputs were loaded at lookup (see ``_lookup``)."""
+
+    __slots__ = ("digest", "meta", "_outputs")
+
+    def __init__(self, hit: Any, outputs: Dict[str, Any]) -> None:
+        self.digest = hit.digest
+        self.meta = hit.meta
+        self._outputs = outputs
+
+    def load(self) -> Dict[str, Any]:
+        return self._outputs
 
 
 class _LazyContext(dict):
@@ -182,14 +197,21 @@ class PassManager:
     ) -> Tuple[Optional[Any], Optional[str]]:
         if digest in denied:
             return None, None
-        if self.overlay is not None:
-            hit = self.overlay.get(digest)
-            if hit is not None:
-                return hit, "overlay"
-        if self.store is not None:
-            hit = self.store.get(digest)
-            if hit is not None:
-                return hit, "disk"
+        for store, source in ((self.overlay, "overlay"), (self.store, "disk")):
+            hit = store.get(digest) if store is not None else None
+            if hit is None:
+                continue
+            if denied:
+                # A retry has started, so damaged entries seldom come
+                # alone: load now, and each one is a miss in this attempt
+                # rather than the cause of the next.
+                try:
+                    hit = _Loaded(hit, hit.load())
+                except Exception as exc:
+                    obs.emit_event("stage.unloadable", digest=digest, error=repr(exc))
+                    denied.add(digest)
+                    return None, None
+            return hit, source
         return None, None
 
     def execute(
@@ -298,6 +320,15 @@ class PassManager:
                 else:
                     outputs = dict(stage.run(flow, config, ctx, span) or {})
                     ctx.update(outputs)
+                    payload = None
+                    if stage.cacheable and caching:
+                        # Snapshot and pickle *now*: later stages mutate
+                        # these objects in place (scheduling edits loop
+                        # bodies, replication rewrites the netlist), and
+                        # the stored artifact must be this stage's view.
+                        payload = encode_outputs(
+                            stage.name, {} if stage.sidecar_only else outputs
+                        )
                     # Early cutoff (incremental mode): chain each output
                     # key from its *content* digest where the stage can
                     # provide one, so a re-run that reproduced identical
@@ -308,17 +339,12 @@ class PassManager:
                     content = {}
                     if incremental:
                         content = (
-                            stage.content_digests(flow, config, ctx, outputs)
+                            stage.content_digests(
+                                flow, config, ctx, outputs, payload
+                            )
                             or {}
                         )
-                    if stage.cacheable and caching:
-                        # Snapshot and pickle *now*: later stages mutate
-                        # these objects in place (scheduling edits loop
-                        # bodies, replication rewrites the netlist), and
-                        # the stored artifact must be this stage's view.
-                        payload = encode_outputs(
-                            stage.name, {} if stage.sidecar_only else outputs
-                        )
+                    if payload is not None:
                         meta = {
                             "schema": STAGE_STORE_SCHEMA,
                             "stage": stage.name,

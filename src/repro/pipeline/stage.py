@@ -29,7 +29,7 @@ exactly the downstream stages that (transitively) consume it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.hashing import content_digest
@@ -84,8 +84,13 @@ class Stage:
         config: "OptimizationConfig",
         ctx: Dict[str, Any],
         outputs: Dict[str, Any],
+        payload: Optional[bytes],
     ) -> Dict[str, str]:
         """Content digests of (a subset of) this stage's outputs.
+
+        ``payload`` is the pickled bundle the manager stores for this run
+        (``None`` when nothing is stored), so a stage can hash it rather
+        than pickle its outputs a second time.
 
         Salsa-style early cutoff: when incremental recompilation is on, the
         manager chains each output key's digest from the *content* returned

@@ -41,6 +41,7 @@ re-runs them — see :mod:`repro.pipeline.manager`.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.delay.calibrated import CalibratedDelayModel
@@ -99,7 +100,7 @@ class PragmasStage(Stage):
         span.set("ops", sum(len(l.body.ops) for _, l in lowered.all_loops()))
         return {"lowered": lowered}
 
-    def content_digests(self, flow, config, ctx, outputs):
+    def content_digests(self, flow, config, ctx, outputs, payload):
         return {"lowered": design_digest(outputs["lowered"])}
 
 
@@ -125,7 +126,7 @@ class SyncPruningStage(Stage):
             span.set("call_syncs_pruned", len(sync_report.call_syncs_pruned))
         return {"lowered": lowered, "sync_report": sync_report}
 
-    def content_digests(self, flow, config, ctx, outputs):
+    def content_digests(self, flow, config, ctx, outputs, payload):
         # ``sync_report`` is report-layer output no downstream stage
         # consumes; it keeps provenance chaining.
         return {"lowered": design_digest(outputs["lowered"])}
@@ -173,7 +174,7 @@ class CalibrationStage(Stage):
             span.set("cached", source != "built")
         return {"cal_table": table}
 
-    def content_digests(self, flow, config, ctx, outputs):
+    def content_digests(self, flow, config, ctx, outputs, payload):
         table = outputs["cal_table"]
         return {
             "cal_table": table_digest(table)
@@ -223,7 +224,7 @@ class SchedulingStage(Stage):
         span.set("max_depth", max((s.depth for s in schedules.values()), default=0))
         return {"lowered": lowered, "schedules": schedules, "schedule_edits": edits}
 
-    def content_digests(self, flow, config, ctx, outputs):
+    def content_digests(self, flow, config, ctx, outputs, payload):
         return {
             "lowered": design_digest(outputs["lowered"]),
             "schedules": schedules_digest(outputs["schedules"]),
@@ -269,23 +270,37 @@ class RtlGenStage(Stage):
         span.set("nets", len(gen.netlist.nets))
         return {"gen": gen}
 
+    def content_digests(self, flow, config, ctx, outputs, payload):
+        # The digest of the bundle bytes the store keeps: control styles
+        # or lowered variants that emit the same netlist (``skid`` and
+        # ``skid_minarea`` on a loop min-area cannot shrink) then chain
+        # the same digest, so placement through timing replay.  Without
+        # a store nothing is looked up, so nothing is hashed.
+        if payload is None:
+            return {}
+        return {"gen": hashlib.sha256(payload).hexdigest()}
+
 
 class PlacementStage(Stage):
-    """Seeded greedy placement on the target device's fabric."""
+    """Seeded greedy placement on the target device's fabric.
+
+    Reads only the netlist; the device comes from the design (no
+    transform or lowering changes it), so two configs that generate the
+    same netlist share one placement digest under early cutoff.
+    """
 
     name = "placement"
-    inputs = ("lowered", "gen")
+    inputs = ("gen",)
     outputs = ("placement",)
     sidecar_only = True
 
     def params(self, flow, config, ctx):
-        return {"seed": flow.seed}
+        return {"seed": flow.seed, "device": ctx["design"].device}
 
     def run(self, flow, config, ctx, span):
         gen = ctx["gen"]
         span.set("cells", len(gen.netlist.cells))
-        lowered = ctx["lowered"]
-        fabric = Fabric(get_device(lowered.device))
+        fabric = Fabric(get_device(ctx["design"].device))
         placement = Placer(fabric, seed=flow.seed).place(
             gen.netlist, anchor=gen.anchor
         )

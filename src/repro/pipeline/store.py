@@ -11,15 +11,15 @@ input digest (see :mod:`repro.pipeline.digest`).  Two files per entry:
   points at survives a round trip).  A *sidecar-only checkpoint*
   (:attr:`Stage.sidecar_only <repro.pipeline.stage.Stage.sidecar_only>`:
   placement, spreading, replication) stores an empty bundle here;
-* ``<digest>.json`` — a metadata sidecar holding the stage name plus the
-  observability snapshot (span attrs, counters, raw histogram samples,
-  child spans) replayed when the stage is skipped, and the content digests
-  early cutoff chains from.
+* ``<digest>.json`` — a compact metadata sidecar holding the stage name
+  plus the observability snapshot (span attrs, counters, raw histogram
+  samples, child spans) replayed when the stage is skipped, and the
+  content digests early cutoff chains from.
 
-The mechanics are the result store's, deliberately: atomic temp+rename
-writes, payload-first/sidecar-last ordering so a visible sidecar implies a
-complete payload, mtime-LRU eviction with ``get`` refreshing recency, and
-a missing/corrupt file never fails a run.  ``get`` reads a missing or
+Writes go through :func:`repro.cachedir.atomic_write` (temp file +
+rename), payload first and sidecar last, so a visible sidecar implies a
+complete payload; eviction is mtime-LRU with ``get`` refreshing recency,
+and a missing/corrupt file never fails a run.  ``get`` reads a missing or
 corrupt sidecar as a miss; a payload that fails to read, decompress or
 unpickle only surfaces at :meth:`StoredStage.load`, and the
 :class:`~repro.pipeline.manager.PassManager` then re-runs the flow with
@@ -41,14 +41,13 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import tempfile
 import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.cachedir import SIDECAR_SUFFIXES, evict_lru, read_sidecars
+from repro.cachedir import SIDECAR_SUFFIXES, atomic_write, evict_lru, read_sidecars
 from repro.delay.cache import default_cache_dir
 from repro.errors import ReproError
 
@@ -261,25 +260,14 @@ class StageArtifactStore:
         meta["payload_bytes"] = len(payload)
         # Payload first, sidecar last: a reader that sees the sidecar is
         # guaranteed the payload already exists.
-        self._atomic_write(
+        atomic_write(
             self._payload_path(digest), zlib.compress(payload, PAYLOAD_ZLIB_LEVEL)
         )
-        self._atomic_write(
+        atomic_write(
             self._meta_path(digest),
-            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
+            json.dumps(meta, sort_keys=True, separators=(",", ":")).encode(),
         )
-        return self.evict()
-
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        return evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES, keep=digest)
 
     def evict(self) -> int:
         """Drop least-recently-used entries beyond ``max_entries``."""

@@ -8,8 +8,9 @@ requests the way production HLS evaluation farms do:
   description of one compilation (design, params, config, clock, seed,
   calibration provenance) with a deterministic content digest;
 * :mod:`repro.service.store` — :class:`ResultStore`, a content-addressed
-  on-disk cache of finished :class:`~repro.flow.FlowResult` objects under
-  ``$REPRO_CACHE_DIR/results/`` (atomic writes, LRU eviction), so repeat
+  on-disk cache of finished compilations under
+  ``$REPRO_CACHE_DIR/results/``, one validated canonical-JSON
+  :class:`ResultRecord` each (atomic writes, LRU eviction), so repeat
   requests return without recompiling;
 * :mod:`repro.service.daemon` — :class:`FlowService`, the asyncio job
   queue: request deduplication/coalescing, bounded queue with
@@ -44,7 +45,7 @@ from repro.service.client import (
 from repro.service.daemon import FlowService, Job, QueueFullError, UnknownJobError
 from repro.service.request import FlowRequest, config_from_spec, config_to_dict
 from repro.service.server import ServiceServer, serve_in_thread
-from repro.service.store import ResultStore, StoredResult
+from repro.service.store import ResultRecord, ResultStore, StoredResult
 from repro.service.traces import TRACE_SCHEMA, TraceStore, rebuild_trace
 from repro.service.worker import TELEMETRY_KEY, execute_request, worker_entry
 
@@ -52,6 +53,7 @@ __all__ = [
     "FlowRequest",
     "config_from_spec",
     "config_to_dict",
+    "ResultRecord",
     "ResultStore",
     "StoredResult",
     "FlowService",

@@ -11,10 +11,10 @@ Error mapping mirrors the daemon's backpressure semantics:
 * connection failures → :class:`ServiceError` with status 0.
 
 Because daemon, workers and clients share one machine (and one
-``$REPRO_CACHE_DIR``), :meth:`ServiceClient.load_result` can rehydrate the
-full :class:`~repro.flow.FlowResult` of any completed job straight from
-the content-addressed store — the HTTP surface only ever carries light
-JSON records.
+``$REPRO_CACHE_DIR``), :meth:`ServiceClient.load_result` reads the
+:class:`~repro.service.store.ResultRecord` of any completed job straight
+from the content-addressed store — the HTTP surface only ever carries
+JSON.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.flow import FlowResult
 from repro.obs.context import TraceContext
-from repro.service.store import ResultStore
+from repro.service.store import ResultRecord, ResultStore
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8973
@@ -242,9 +241,9 @@ class ServiceClient:
         return raw.decode("utf-8")
 
     def get_result_bytes(self, digest: str) -> Optional[bytes]:
-        """Download the raw result-store payload for ``digest`` from this
-        node (``None`` on a miss).  The peer-fetch transport: the caller
-        installs the bytes locally with :meth:`ResultStore.put_bytes`."""
+        """Download the result record bytes for ``digest`` from this node
+        (``None`` on a miss).  The peer-fetch transport: the caller checks
+        and installs them with :meth:`ResultStore.put_bytes`."""
         status, raw = self._transport("GET", f"/result/{digest}", retry=False)
         if status == 404:
             return None
@@ -278,8 +277,8 @@ class ServiceClient:
 
     def load_result(
         self, digest: str, store: Optional[ResultStore] = None
-    ) -> Optional[FlowResult]:
-        """Rehydrate a full :class:`FlowResult` from the shared local store."""
+    ) -> Optional[ResultRecord]:
+        """The job's result record, read from the shared local store."""
         return (store if store is not None else ResultStore()).load_result(digest)
 
     def shutdown(self) -> None:

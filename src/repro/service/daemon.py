@@ -47,13 +47,13 @@ import itertools
 import json
 import multiprocessing
 import os
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.cachedir import atomic_write
 from repro.delay.cache import default_cache_dir
 from repro.designs import design_names
 from repro.engine.merge import graft_trace
@@ -819,11 +819,10 @@ class FlowService:
         }
         try:
             os.makedirs(self.quarantine_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.quarantine_dir, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, os.path.join(self.quarantine_dir, f"{job.digest}.json"))
+            atomic_write(
+                os.path.join(self.quarantine_dir, f"{job.digest}.json"),
+                (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),
+            )
         except OSError:
             pass  # quarantine is best-effort forensics; the job record has it all
         self._count("service.quarantined")

@@ -10,9 +10,10 @@ Routes:
 * ``GET  /healthz``      — liveness probe;
 * ``GET  /health``       — cheap per-node vitals (queue depth, lanes,
   inflight, store size) for cluster heartbeats and ``status --cluster``;
-* ``GET  /result/<digest>`` — the raw result-store payload (pickle bytes)
-  for peer fetch: a cluster node missing a digest locally downloads the
-  owner's entry instead of recompiling.  Strictly local lookup;
+* ``GET  /result/<digest>`` — the stored result record (canonical JSON
+  bytes) for peer fetch: a cluster node missing a digest locally
+  downloads and checks the owner's record instead of recompiling.
+  Strictly local lookup;
 * ``GET  /status``       — the daemon snapshot (queue, metrics, store);
 * ``GET  /metrics``      — Prometheus-style text exposition of the
   process-wide metrics registry (queue depth per lane, coalesce/hit
@@ -117,9 +118,9 @@ class ServiceServer:
             status, payload = await self._handle_one(reader)
         except Exception as exc:  # a handler bug must not kill the daemon
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        if isinstance(payload, bytes):  # binary routes (/result/<digest>)
+        if isinstance(payload, bytes):  # pre-encoded JSON (/result/<digest>)
             body = payload
-            content_type = "application/octet-stream"
+            content_type = "application/json"
         elif isinstance(payload, str):  # text routes (/metrics)
             body = payload.encode()
             content_type = EXPOSITION_CONTENT_TYPE

@@ -2,34 +2,38 @@
 
 Every entry is one finished flow compilation, keyed by the
 :meth:`~repro.service.request.FlowRequest.digest` of the request that
-produced it.  Two files per entry:
+produced it, and stored as one file, ``<digest>.json``: a canonical-JSON
+:class:`ResultRecord`.  The record holds the request encoding, the
+result's :meth:`~repro.flow.FlowResult.fingerprint` (whose design,
+config, clock, Fmax, period and critical-path class are the summary the
+daemon reports), the timing report with its critical path, and the stage
+journal.  It is data only: a hit, a ``/result/<digest>`` download and a
+peer install all parse JSON, and nothing that reaches the store from
+another process is ever unpickled.  The full
+:class:`~repro.flow.FlowResult` (netlist, placement, schedules) stays in
+the process that compiled it.
 
-* ``<digest>.pkl`` — the pickled payload (request encoding, summary, and
-  the full :class:`~repro.flow.FlowResult`);
-* ``<digest>.json`` — a small metadata sidecar (design, config, Fmax,
-  result digest, sizes) readable without unpickling, used for listings and
-  the daemon's status endpoint.  A sidecar whose ``schema`` is not
-  :data:`STORE_SCHEMA` (an entry of an older layout) is a miss, so its
-  payload is never unpickled.
-
-Payloads load through :func:`unpickle`, which pauses the cyclic garbage
-collector while the result's object graph is rebuilt.
+Every record is validated where it is read, by :meth:`ResultRecord.parse`:
+the fingerprint must hash to the record's ``result_digest``, and the
+request must hash to the digest the record is stored or fetched under.
+A file that fails either check, or whose ``schema`` is not
+:data:`STORE_SCHEMA` (an entry of an older layout), is a miss.
 
 Guarantees:
 
-* **Atomic writes** — both files are written to a temp name and
-  ``os.replace``'d, the same discipline as the calibration cache, so a
-  concurrent reader (another daemon, a worker retry racing its
-  predecessor's corpse) can never observe a half-written entry.  Writes of
-  the same digest are idempotent by construction: the flow is
-  deterministic, so last-writer-wins replaces equal bytes with equal bytes.
+* **Atomic writes** — records go through :func:`repro.cachedir.atomic_write`
+  (temp file + ``os.replace``), so a concurrent reader (another daemon, a
+  worker retry racing its predecessor's corpse) can never observe a
+  half-written entry.  Writes of the same digest are idempotent: the flow
+  is deterministic, so last-writer-wins replaces a record with an equal
+  fingerprint.
 * **LRU eviction** — the store is bounded (``max_entries``); a successful
   :meth:`ResultStore.get` refreshes the entry's recency (mtime), and
   :meth:`ResultStore.put` evicts the least-recently-used entries beyond
   the bound, reading only names and mtimes (:func:`repro.cachedir.evict_lru`
-  stats nothing under the bound).  Eviction is crash-safe: a missing
-  sidecar or payload is a miss, never an error, and an entry with a
-  corrupt or missing sidecar still counts toward the bound.
+  stats nothing under the bound).  The ``.pkl`` payloads an older layout
+  left count toward the bound and are evicted in their turn, and an entry
+  with a corrupt record still counts too.
 * **Write/evict exclusion** — writers and evictors (possibly in different
   processes: every cluster node worker shares its node's store) serialize
   on an ``flock`` over ``<root>/.lock``, and eviction re-checks each
@@ -42,55 +46,48 @@ Guarantees:
 from __future__ import annotations
 
 import contextlib
-import gc
 import json
 import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 try:
     import fcntl
 except ImportError:  # non-POSIX: degrade to unserialized writes
     fcntl = None  # type: ignore[assignment]
 
-from repro.cachedir import SIDECAR_SUFFIXES, evict_lru, read_sidecars
+from repro.cachedir import SIDECAR_SUFFIXES, atomic_write, evict_lru, read_sidecars
 from repro.delay.cache import default_cache_dir
-from repro.engine.pool import ensure_pickle_depth
 from repro.errors import ReproError
-from repro.flow import FlowResult
+from repro.flow import FlowResult, fingerprint_digest
+from repro.hashing import canonical_json
+from repro.physical.timing import TimingResult
+from repro.physical.timing_report import emit_timing_report, parse_timing_report
 from repro.service.request import FlowRequest
 
-#: Version tag of the on-disk entry layout (``/2``: tuple-state
-#: :class:`~repro.rtl.netlist.Net` pickles).
-STORE_SCHEMA = "repro-result-store/2"
+#: Version tag of the on-disk entry layout (``/3``: one canonical-JSON
+#: result record per entry, no pickled payload).
+STORE_SCHEMA = "repro-result-store/3"
 
-#: Default LRU bound.  A FlowResult pickle runs tens of KB to a few MB
-#: depending on design depth; 256 entries keeps the store well under a GB
-#: while covering every design × config × seed point a realistic sweep hits.
+#: Default LRU bound.  A record is a few KB, so the bound is about how
+#: many design × config × seed points a sweep revisits, not disk.
 DEFAULT_MAX_ENTRIES = 256
 
+#: Largest record :meth:`ResultRecord.parse` accepts.  Real records are a
+#: few KB (the critical path is the longest part); anything near this is
+#: not a record, and is refused before it is parsed.
+MAX_RECORD_BYTES = 1 << 20
 
-def unpickle(data: bytes) -> Any:
-    """``pickle.loads`` with recursion headroom and the collector paused.
-
-    A :class:`FlowResult` unpickles into a large object graph at once.
-    With the cyclic collector on, those allocations trigger collections
-    that walk the half-built graph over and over.  Only the call that
-    disabled the collector turns it back on, so a load that overlaps one
-    on another thread never re-enables it under that thread's feet.
-    """
-    ensure_pickle_depth()
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        return pickle.loads(data)
-    finally:
-        if paused:
-            gc.enable()
+#: The fingerprint fields the daemon reports as a job's summary.
+SUMMARY_FIELDS = (
+    "design",
+    "config",
+    "clock_target_mhz",
+    "fmax_mhz",
+    "period_ns",
+    "critical_path_class",
+)
 
 
 def default_store_dir() -> str:
@@ -98,32 +95,168 @@ def default_store_dir() -> str:
     return os.path.join(default_cache_dir(), "results")
 
 
-@dataclass
-class StoredResult:
-    """One store hit: the sidecar metadata plus a lazy payload loader."""
+class ResultRecord:
+    """One finished compilation as validated data.
 
-    digest: str
-    meta: Dict[str, Any]
-    path: str
+    Build one from a live result with :meth:`build`, or from stored or
+    downloaded bytes with :meth:`parse`, which checks it.  It answers what
+    callers of the store read from a :class:`~repro.flow.FlowResult`:
+    :meth:`result_digest`, :meth:`fingerprint`, the summary fields, a
+    :attr:`timing` parsed on demand from the stored report, and the stage
+    :attr:`journal`.
+    """
 
+    __slots__ = ("document", "_timing")
+
+    def __init__(self, document: Dict[str, Any]) -> None:
+        self.document = document
+        self._timing: Optional[TimingResult] = None
+
+    @classmethod
+    def build(
+        cls, request: FlowRequest, result: Union[FlowResult, "ResultRecord"]
+    ) -> "ResultRecord":
+        """The record of ``result`` stored under ``request``'s digest."""
+        if isinstance(result, ResultRecord):
+            report = result.timing_report
+        else:
+            report = emit_timing_report(result.timing, design=result.design)
+        return cls(
+            {
+                "schema": STORE_SCHEMA,
+                "digest": request.digest(),
+                "request": request.to_dict(),
+                "result_digest": result.result_digest(),
+                "fingerprint": result.fingerprint(),
+                "timing_report": report,
+                "journal": list(result.journal or []),
+            }
+        )
+
+    @classmethod
+    def parse(cls, data: bytes, digest: str) -> "ResultRecord":
+        """Parse and check the record bytes stored or fetched under
+        ``digest``; raises :class:`ReproError` on anything else."""
+        if len(data) > MAX_RECORD_BYTES:
+            raise ReproError(f"result record of {len(data)} bytes is oversized")
+        try:
+            document = json.loads(data)
+        except (ValueError, RecursionError) as exc:
+            raise ReproError(f"result record is not JSON: {exc}") from None
+        if not isinstance(document, dict) or document.get("schema") != STORE_SCHEMA:
+            raise ReproError("not a result record of schema " + STORE_SCHEMA)
+        request = document.get("request")
+        fingerprint = document.get("fingerprint")
+        report = document.get("timing_report")
+        journal = document.get("journal")
+        if not (
+            isinstance(request, dict)
+            and isinstance(fingerprint, dict)
+            and isinstance(report, str)
+            and isinstance(journal, list)
+        ):
+            raise ReproError("result record is missing a field")
+        try:
+            request_digest = FlowRequest.from_dict(request).digest()
+            result_digest = fingerprint_digest(fingerprint)
+        except Exception as exc:  # malformed request or non-canonical values
+            raise ReproError(f"result record does not hash: {exc}") from None
+        if request_digest != digest or document.get("digest") != digest:
+            raise ReproError(f"result record does not answer request {digest}")
+        if result_digest != document.get("result_digest"):
+            raise ReproError("result record's fingerprint does not match its digest")
+        missing = [name for name in SUMMARY_FIELDS if name not in fingerprint]
+        if missing:
+            raise ReproError(f"result record's fingerprint lacks {missing}")
+        if f"\nPath Class: {fingerprint['critical_path_class']}\n" not in report:
+            raise ReproError("result record's timing report is of another path")
+        return cls(
+            {
+                "schema": STORE_SCHEMA,
+                "digest": digest,
+                "request": request,
+                "result_digest": result_digest,
+                "fingerprint": fingerprint,
+                "timing_report": report,
+                "journal": journal,
+            }
+        )
+
+    def to_bytes(self) -> bytes:
+        """The canonical-JSON encoding stored on disk and sent to peers."""
+        return canonical_json(self.document).encode("ascii")
+
+    # -- what callers read -------------------------------------------------
     @property
+    def digest(self) -> str:
+        return self.document["digest"]
+
     def result_digest(self) -> str:
-        return self.meta.get("result_digest", "")
+        return self.document["result_digest"]
+
+    def fingerprint(self) -> Dict[str, Any]:
+        return dict(self.document["fingerprint"])
 
     @property
     def summary(self) -> Dict[str, Any]:
-        return self.meta.get("summary", {})
+        fingerprint = self.document["fingerprint"]
+        return {name: fingerprint[name] for name in SUMMARY_FIELDS}
 
-    def load(self) -> FlowResult:
-        """Unpickle the full :class:`FlowResult` (the expensive half)."""
-        with open(self.path, "rb") as handle:
-            payload = unpickle(handle.read())
-        if payload.get("schema") != STORE_SCHEMA:
-            raise ReproError(
-                f"result-store entry {self.path!r} has schema "
-                f"{payload.get('schema')!r}, expected {STORE_SCHEMA!r}"
-            )
-        return payload["result"]
+    @property
+    def design(self) -> str:
+        return self.document["fingerprint"]["design"]
+
+    @property
+    def config_label(self) -> str:
+        return self.document["fingerprint"]["config"]
+
+    @property
+    def clock_target_mhz(self) -> float:
+        return self.document["fingerprint"]["clock_target_mhz"]
+
+    @property
+    def fmax_mhz(self) -> float:
+        return self.document["fingerprint"]["fmax_mhz"]
+
+    @property
+    def period_ns(self) -> float:
+        return self.document["fingerprint"]["period_ns"]
+
+    @property
+    def timing_report(self) -> str:
+        return self.document["timing_report"]
+
+    @property
+    def timing(self) -> TimingResult:
+        """The critical path, parsed from the report on first access."""
+        if self._timing is None:
+            self._timing = parse_timing_report(self.timing_report)
+        return self._timing
+
+    @property
+    def journal(self) -> List[Dict[str, Any]]:
+        return self.document["journal"]
+
+
+@dataclass
+class StoredResult:
+    """One store entry: its validated record."""
+
+    record: ResultRecord
+    #: Entries the write that returned this evicted (``put`` only).
+    evicted: int = 0
+
+    @property
+    def digest(self) -> str:
+        return self.record.digest
+
+    @property
+    def result_digest(self) -> str:
+        return self.record.result_digest()
+
+    @property
+    def summary(self) -> Dict[str, Any]:
+        return self.record.summary
 
 
 class ResultStore:
@@ -146,7 +279,7 @@ class ResultStore:
 
         ``flock`` is per open-file-description, so a fresh handle per
         acquisition keeps this usable from any process or thread; the
-        lock file itself is never an entry (no ``.pkl``/``.json`` suffix).
+        lock file itself is never an entry (no ``.json``/``.pkl`` suffix).
         Callers must not nest acquisitions (same-thread re-acquisition on
         a second handle would deadlock) — ``put``/``put_bytes`` therefore
         call :func:`~repro.cachedir.evict_lru` directly, not :meth:`evict`.
@@ -165,89 +298,58 @@ class ResultStore:
             finally:
                 handle.close()
 
-    # -- paths -----------------------------------------------------------
-    def _payload_path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.pkl")
-
-    def _meta_path(self, digest: str) -> str:
+    def _path(self, digest: str) -> str:
         return os.path.join(self.root, f"{digest}.json")
 
     # -- read side -------------------------------------------------------
     def get(self, digest: str) -> Optional[StoredResult]:
-        """Look up ``digest``; a hit refreshes the entry's LRU recency."""
-        payload_path = self._payload_path(digest)
-        meta_path = self._meta_path(digest)
+        """Look up ``digest``; a valid hit refreshes the entry's LRU recency."""
+        path = self._path(digest)
         try:
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if meta.get("schema") != STORE_SCHEMA:
-            return None  # older layout: never unpickle it
-        if not os.path.exists(payload_path):
+            with open(path, "rb") as handle:
+                record = ResultRecord.parse(handle.read(), digest)
+        except (OSError, ReproError):
             return None
         now = time.time()
-        for path in (payload_path, meta_path):
-            try:
-                os.utime(path, (now, now))
-            except OSError:  # entry raced an eviction; treat as a miss
-                return None
-        return StoredResult(digest=digest, meta=meta, path=payload_path)
+        try:
+            os.utime(path, (now, now))
+        except OSError:  # entry raced an eviction; treat as a miss
+            return None
+        return StoredResult(record=record)
 
-    def load_result(self, digest: str) -> Optional[FlowResult]:
-        """Convenience: ``get`` + ``load`` in one call."""
+    def load_result(self, digest: str) -> Optional[ResultRecord]:
+        """The record stored under ``digest``, or ``None`` on a miss."""
         hit = self.get(digest)
-        return hit.load() if hit is not None else None
+        return hit.record if hit is not None else None
 
     def get_bytes(self, digest: str) -> Optional[bytes]:
-        """Raw payload pickle for ``digest`` (the ``/result/<digest>`` wire
+        """The record bytes for ``digest`` (the ``/result/<digest>`` wire
         format), or ``None`` on a miss.  Strictly local — the explicit
         base-class call bypasses peer-fetch subclasses, so a node serving
         its ``/result`` route can never recurse into the fleet."""
-        if ResultStore.get(self, digest) is None:  # sidecar check + LRU refresh
-            return None
-        try:
-            with open(self._payload_path(digest), "rb") as handle:
-                return handle.read()
-        except OSError:  # raced an eviction
-            return None
+        hit = ResultStore.get(self, digest)
+        return hit.record.to_bytes() if hit is not None else None
 
-    def put_bytes(self, digest: str, payload: bytes) -> Optional[StoredResult]:
-        """Install a payload fetched from a peer (write-through caching).
+    def put_bytes(self, digest: str, data: bytes) -> Optional[StoredResult]:
+        """Install record bytes fetched from a peer (write-through caching).
 
-        The payload embeds its own metadata, so a transferred entry is
-        self-describing: validate the schema and digest, then write
-        payload-first/sidecar-last exactly like :meth:`put`.  Returns
-        ``None`` (and stores nothing) for corrupt or mismatched payloads.
+        The bytes are parsed as JSON and checked by
+        :meth:`ResultRecord.parse`; anything else returns ``None`` and
+        stores nothing.
         """
         try:
-            document = unpickle(payload)
-        except Exception:
+            record = ResultRecord.parse(data, digest)
+        except ReproError:
             return None
-        if not isinstance(document, dict) or document.get("schema") != STORE_SCHEMA:
-            return None
-        meta = document.get("meta")
-        if not isinstance(meta, dict) or meta.get("digest") != digest:
-            return None
-        meta = dict(meta)
-        meta.pop("evicted", None)
-        with self._exclusive():
-            self._atomic_write(self._payload_path(digest), payload)
-            meta["payload_bytes"] = len(payload)
-            self._atomic_write(
-                self._meta_path(digest),
-                (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
-            )
-            evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES)
-        return StoredResult(digest=digest, meta=meta, path=self._payload_path(digest))
+        return self._write(record)
 
     def entries(self) -> List[Dict[str, Any]]:
-        """All sidecar records, least-recently-used first (for listings)."""
+        """All parseable records, least-recently-used first (for listings)."""
         return read_sidecars(self.root)
 
     def __len__(self) -> int:
         try:
-            return sum(1 for n in os.listdir(self.root) if n.endswith(".pkl"))
+            return sum(1 for n in os.listdir(self.root) if n.endswith(".json"))
         except OSError:
             return 0
 
@@ -257,53 +359,23 @@ class ResultStore:
         return True
 
     # -- write side ------------------------------------------------------
-    def put(self, request: FlowRequest, result: FlowResult) -> StoredResult:
-        """Store ``result`` under ``request``'s digest (atomic), then evict
-        down to ``max_entries``.  Returns the stored entry; the eviction
-        count is available on ``entry.meta["evicted"]`` for observability.
-        """
-        digest = request.digest()
-        meta = {
-            "schema": STORE_SCHEMA,
-            "digest": digest,
-            "result_digest": result.result_digest(),
-            "request": request.to_dict(),
-            "summary": {
-                "design": result.design,
-                "config": result.config_label,
-                "clock_target_mhz": result.clock_target_mhz,
-                "fmax_mhz": result.fmax_mhz,
-                "period_ns": result.period_ns,
-                "critical_path_class": result.timing.path_class.value,
-            },
-            "created_s": time.time(),
-        }
-        ensure_pickle_depth()
-        payload = {"schema": STORE_SCHEMA, "meta": meta, "result": result}
-        blob = pickle.dumps(payload, protocol=4)  # pickle outside the lock
-        with self._exclusive():
-            # Payload first, sidecar last: a reader that sees the sidecar
-            # is guaranteed the payload already exists.
-            self._atomic_write(self._payload_path(digest), blob)
-            meta["payload_bytes"] = len(blob)
-            self._atomic_write(
-                self._meta_path(digest),
-                (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
-            )
-            evicted = evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES)
-        meta["evicted"] = evicted
-        return StoredResult(digest=digest, meta=meta, path=self._payload_path(digest))
+    def put(
+        self, request: FlowRequest, result: Union[FlowResult, ResultRecord]
+    ) -> StoredResult:
+        """Store ``result`` (a live result or a record) under ``request``'s
+        digest (atomic), then evict down to ``max_entries``.  The returned
+        entry's ``evicted`` counts the entries that made room."""
+        return self._write(ResultRecord.build(request, result))
 
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    def _write(self, record: ResultRecord) -> StoredResult:
+        data = record.to_bytes()  # encode outside the lock
+        path = self._path(record.digest)
+        with self._exclusive():
+            atomic_write(path, data)
+            evicted = evict_lru(
+                self.root, self.max_entries, SIDECAR_SUFFIXES, keep=record.digest
+            )
+        return StoredResult(record=record, evicted=evicted)
 
     def evict(self) -> int:
         """Drop least-recently-used entries beyond ``max_entries``."""

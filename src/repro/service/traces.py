@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from typing import Any, Dict, List, Optional
 
 from repro import obs
+from repro.cachedir import atomic_write
 from repro.delay.cache import default_cache_dir
 from repro.obs.journal import emit_event
 
@@ -52,11 +52,10 @@ class TraceStore:
     def put(self, digest: str, document: Dict[str, Any]) -> None:
         try:
             os.makedirs(self.root, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self._path(digest))
+            atomic_write(
+                self._path(digest),
+                (json.dumps(document, sort_keys=True) + "\n").encode(),
+            )
         except OSError:
             pass  # traces are forensics, never a reason to fail the job
 
@@ -98,10 +97,7 @@ def write_spool(path: str, tracer: obs.Tracer, meta: Dict[str, Any]) -> None:
     document = {"meta": meta, "spans": [s for s in spans if s]}
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(document, handle, default=str)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(document, default=str).encode())
 
 
 def read_spool(path: str) -> Optional[Dict[str, Any]]:

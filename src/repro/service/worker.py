@@ -2,16 +2,18 @@
 
 One job = one worker process.  The daemon spawns :func:`worker_entry` with
 the request's wire encoding, the store root, and one end of a pipe; the
-worker compiles, writes the result into the content-addressed store
-*itself* (atomically), and sends back only a small completion payload —
-the request digest, the result digest, a summary, and its private tracer.
+worker compiles, writes the result's record into the content-addressed
+store *itself* (atomically), and sends back only a small completion
+payload — the request digest, the result digest, a summary, and its
+private tracer.
 
 Writing the store entry on the worker side makes retries idempotent: if
 the daemon kills a hung worker after the store write but before the pipe
-message, the retry simply overwrites the entry with identical content.
-And keeping the heavyweight :class:`~repro.flow.FlowResult` out of the
-pipe keeps the supervision protocol tiny — the daemon (or any local
-client) loads the full result from the store by digest when it wants it.
+message, the retry simply overwrites the entry with an equal record.  The
+record (:class:`~repro.service.store.ResultRecord`) is built here, from
+the live :class:`~repro.flow.FlowResult`, which never leaves this
+process: the daemon and its clients read the record from the store by
+digest.
 
 Process isolation is the whole point: a worker that segfaults, is
 OOM-killed, or hangs takes down *its process*, not the daemon; the daemon
@@ -127,7 +129,7 @@ def worker_entry(request_dict: Dict[str, Any], store_root: str, conn) -> None:
                 "digest": entry.digest,
                 "result_digest": entry.result_digest,
                 "summary": entry.summary,
-                "evicted": entry.meta.get("evicted", 0),
+                "evicted": entry.evicted,
                 "tracer": tracer,
                 "journal": result.journal,
                 "pid": os.getpid(),

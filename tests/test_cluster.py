@@ -237,11 +237,25 @@ class TestPeerResultStore:
             root=str(tmp_path / "local"),
             node_id="n-local",
             owners_for=lambda digest: [_Peer("n-owner")],
-            peers={("127.0.0.1", 9999): _FakePeerTransport(b"not a pickle")},
+            peers={("127.0.0.1", 9999): _FakePeerTransport(b"not a record")},
         )
         assert store.get(compiled["digest"]) is None
         assert store.peer_fetch_errors == 1
         assert ResultStore.get(store, compiled["digest"]) is None  # nothing installed
+
+    def test_record_of_another_digest_rejected(self, tmp_path, compiled):
+        """A peer answering with a valid record of another request."""
+        store = _WiredPeerStore(
+            root=str(tmp_path / "local"),
+            node_id="n-local",
+            owners_for=lambda digest: [_Peer("n-owner")],
+            peers={("127.0.0.1", 9999): _FakePeerTransport(compiled["payload"])},
+        )
+        other = "f" * 64
+        assert store.get(other) is None
+        assert store.peer_fetch_errors == 1
+        assert ResultStore.get(store, other) is None  # nothing installed
+        assert ResultStore.get(store, compiled["digest"]) is None
 
     def test_dead_peer_is_a_miss_not_an_error(self, tmp_path, compiled):
         store = _WiredPeerStore(

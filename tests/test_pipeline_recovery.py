@@ -12,6 +12,7 @@ from __future__ import annotations
 import glob
 import os
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.obs.journal import EventJournal, activate_journal
 from repro.opt import BASELINE, FULL
 from repro.physical.replication import ReplicationConfig
 from repro.pipeline import StageArtifactStore, build_stages
+from repro.pipeline.manager import PassManager
 
 SIDECAR_ONLY = ("placement", "spreading", "replication")
 
@@ -179,6 +181,42 @@ def test_truncated_payloads_read_as_misses(store, synthetic_table):
     assert all(
         entry["action"] == "skipped" for entry in again.journal if entry["cacheable"]
     )
+
+
+def test_damaged_store_recovers_in_one_retry(store, synthetic_table, monkeypatch):
+    """Every ``.pkl`` truncated: the first attempt fails on one entry,
+    and the retry loads each hit as it looks it up, so every other
+    damaged entry is a miss inside that same attempt."""
+    _fill(store, synthetic_table, FULL)
+    reference = _scratch(synthetic_table, FULL)
+    for path in glob.glob(os.path.join(store.root, "*.pkl")):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+    attempts, runs = [], Counter()
+    real_attempt = PassManager._attempt
+
+    def attempt(self, *args, **kwargs):
+        attempts.append(1)
+        return real_attempt(self, *args, **kwargs)
+
+    def counting(stage_class):
+        real_run = stage_class.run
+
+        def run(self, *args, **kwargs):
+            runs[self.name] += 1
+            return real_run(self, *args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(PassManager, "_attempt", attempt)
+    for stage in build_stages():
+        monkeypatch.setattr(type(stage), "run", counting(type(stage)))
+    rerun = _fill(store, synthetic_table, FULL)
+    assert rerun.result_digest() == reference.result_digest()
+    assert len(attempts) <= 2
+    assert runs["scheduling"] == 1
 
 
 def test_foreign_payload_reads_as_a_miss(store, synthetic_table):

@@ -1,8 +1,8 @@
-"""The content-addressed result store: atomicity, LRU, crash tolerance."""
+"""The content-addressed result store: records, atomicity, LRU, crash
+tolerance, and what it refuses from a peer."""
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import pickle
@@ -10,12 +10,19 @@ import time
 
 import pytest
 
+from repro.cluster import peer as peer_module
 from repro.designs import build_design
 from repro.errors import ReproError
 from repro.flow import Flow
 from repro.opt import BASELINE
+from repro.service import store as store_module
 from repro.service.request import FlowRequest
-from repro.service.store import STORE_SCHEMA, ResultStore, unpickle
+from repro.service.store import (
+    MAX_RECORD_BYTES,
+    STORE_SCHEMA,
+    ResultRecord,
+    ResultStore,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +59,30 @@ class TestRoundtrip:
         assert loaded.result_digest() == flow_result.result_digest()
         assert loaded.fingerprint() == flow_result.fingerprint()
 
+    def test_record_round_trips_fingerprint_and_timing(self, store, flow_result):
+        request = _request()
+        store.put(request, flow_result)
+        loaded = store.load_result(request.digest())
+        assert isinstance(loaded, ResultRecord)
+        assert loaded.fingerprint() == flow_result.fingerprint()
+        assert loaded.result_digest() == flow_result.result_digest()
+        assert loaded.timing.path_class == flow_result.timing.path_class
+        assert [hop.cell for hop in loaded.timing.critical_path] == [
+            hop.cell for hop in flow_result.timing.critical_path
+        ]
+        assert loaded.fmax_mhz == flow_result.fmax_mhz
+        assert loaded.journal == flow_result.journal
+
+    def test_put_accepts_a_record(self, store, flow_result, tmp_path):
+        """What a client holds after ``load_result`` stores like the live
+        result it was built from."""
+        request = _request()
+        store.put(request, flow_result)
+        other = ResultStore(str(tmp_path / "other"))
+        entry = other.put(request, store.load_result(request.digest()))
+        assert entry.result_digest == flow_result.result_digest()
+        assert other.get_bytes(request.digest()) == store.get_bytes(request.digest())
+
     def test_miss_returns_none(self, store):
         assert store.get("0" * 64) is None
         assert store.load_result("0" * 64) is None
@@ -77,49 +108,58 @@ class TestDurability:
         assert leftovers == []
 
     def test_sidecar_readable_without_unpickling(self, store, flow_result):
+        """One file per entry, and it is canonical JSON."""
         request = _request()
         store.put(request, flow_result)
-        with open(store._meta_path(request.digest())) as handle:
-            meta = json.load(handle)
-        assert meta["schema"] == STORE_SCHEMA
-        assert meta["request"]["design"] == "matmul"
-        assert meta["payload_bytes"] > 0
+        assert sorted(os.listdir(store.root)) == [".lock", request.digest() + ".json"]
+        with open(store._path(request.digest()), "rb") as handle:
+            data = handle.read()
+        record = json.loads(data)
+        assert record["schema"] == STORE_SCHEMA
+        assert record["request"]["design"] == "matmul"
+        assert record["fingerprint"] == flow_result.fingerprint()
+        assert data == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        ).encode()
 
     def test_missing_payload_is_a_miss(self, store, flow_result):
-        """Sidecar without payload (crash between the two writes of an
-        eviction) must read as a miss, never an error."""
+        """A record file gone (evicted between a listing and a read) is a
+        miss, never an error."""
         request = _request()
         store.put(request, flow_result)
-        os.unlink(store._payload_path(request.digest()))
+        os.unlink(store._path(request.digest()))
         assert store.get(request.digest()) is None
 
     def test_corrupt_sidecar_is_a_miss(self, store, flow_result):
         request = _request()
         store.put(request, flow_result)
-        with open(store._meta_path(request.digest()), "w") as handle:
+        with open(store._path(request.digest()), "w") as handle:
             handle.write("{not json")
         assert store.get(request.digest()) is None
 
     def test_schema_mismatch_raises(self, store, flow_result):
         request = _request()
         store.put(request, flow_result)
-        with open(store._payload_path(request.digest()), "wb") as handle:
-            pickle.dump({"schema": "something-else/9"}, handle)
+        path = store._path(request.digest())
+        with open(path) as handle:
+            record = json.load(handle)
+        record["schema"] = "something-else/9"
+        data = json.dumps(record).encode()
         with pytest.raises(ReproError, match="schema"):
-            store.get(request.digest()).load()
+            ResultRecord.parse(data, request.digest())
+        with open(path, "wb") as handle:
+            handle.write(data)
+        assert store.get(request.digest()) is None
 
     def test_entry_of_older_layout_is_a_miss(self, store, flow_result):
-        """A ``/1`` entry (dict-state nets) is a miss before anything is
-        unpickled: its payload here is not even a pickle."""
+        """A ``/2`` entry (sidecar plus pickled payload) is a miss; its
+        payload is never opened."""
         request = _request()
-        store.put(request, flow_result)
         digest = request.digest()
-        with open(store._meta_path(digest)) as handle:
-            meta = json.load(handle)
-        meta["schema"] = "repro-result-store/1"
-        with open(store._meta_path(digest), "w") as handle:
-            json.dump(meta, handle)
-        with open(store._payload_path(digest), "wb") as handle:
+        os.makedirs(store.root, exist_ok=True)
+        with open(store._path(digest), "w") as handle:
+            json.dump({"schema": "repro-result-store/2", "digest": digest}, handle)
+        with open(os.path.join(store.root, digest + ".pkl"), "wb") as handle:
             handle.write(b"not a pickle")
         assert store.get(digest) is None
         assert store.load_result(digest) is None
@@ -129,8 +169,7 @@ class TestDurability:
 class TestLru:
     def _age(self, store, digest, seconds_ago):
         then = time.time() - seconds_ago
-        for path in (store._payload_path(digest), store._meta_path(digest)):
-            os.utime(path, (then, then))
+        os.utime(store._path(digest), (then, then))
 
     def test_put_evicts_least_recently_used(self, store, flow_result):
         digests = []
@@ -139,7 +178,7 @@ class TestLru:
             digests.append(entry.digest)
             self._age(store, entry.digest, seconds_ago=100 - seed)
         entry4 = store.put(_request(4), flow_result)
-        assert entry4.meta["evicted"] == 1
+        assert entry4.evicted == 1
         assert len(store) == 3
         assert store.get(digests[0]) is None  # oldest gone
         assert store.get(digests[1]) is not None
@@ -169,33 +208,87 @@ class TestLru:
             ResultStore(str(tmp_path), max_entries=0)
 
 
-class TestCollectorPausedLoads:
-    def test_collector_restored_after_load(self):
-        assert gc.isenabled()
-        assert unpickle(pickle.dumps({"x": [1]})) == {"x": [1]}
-        assert gc.isenabled()
+class TestHostilePeer:
+    """``put_bytes`` is the peer-fetch install: every malformed or lying
+    record is refused, nothing is stored, and nothing is unpickled."""
 
-    def test_collector_restored_after_failed_load(self):
-        assert gc.isenabled()
-        with pytest.raises(Exception):
-            unpickle(b"\x80\x04 not a pickle")
-        assert gc.isenabled()
-
-    def test_collector_left_off_when_caller_disabled_it(self):
-        gc.disable()
-        try:
-            unpickle(pickle.dumps([1, 2, 3]))
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-
-    def test_result_loads_restore_the_collector(self, store, flow_result):
+    @pytest.fixture()
+    def good(self, store, flow_result, tmp_path):
         request = _request()
-        store.put(request, flow_result)
-        digest = request.digest()
-        assert store.load_result(digest).result_digest() == (
-            flow_result.result_digest()
-        )
-        assert store.put_bytes(digest, store.get_bytes(digest)) is not None
-        assert store.put_bytes(digest, b"not a pickle") is None
-        assert gc.isenabled()
+        source = ResultStore(str(tmp_path / "owner"))
+        source.put(request, flow_result)
+        return request.digest(), source.get_bytes(request.digest())
+
+    @pytest.fixture(autouse=True)
+    def no_unpickling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a peer's bytes reached pickle.loads")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+
+    @staticmethod
+    def _edit(data, **changes):
+        record = json.loads(data)
+        record.update(changes)
+        return json.dumps(record).encode()
+
+    def _refused(self, store, digest, data):
+        assert store.put_bytes(digest, data) is None
+        assert not os.path.exists(store._path(digest))
+        assert store.get(digest) is None
+
+    def test_valid_record_installs(self, store, good):
+        digest, data = good
+        entry = store.put_bytes(digest, data)
+        assert entry is not None and store.get_bytes(digest) == data
+
+    def test_corrupt(self, store, good):
+        self._refused(store, good[0], b"{not json")
+        self._refused(store, good[0], b"\xff\xfe binary")
+        self._refused(store, good[0], b"[" * 100_000 + b"]" * 100_000)
+
+    def test_truncated(self, store, good):
+        digest, data = good
+        self._refused(store, digest, data[: len(data) // 2])
+
+    def test_wrong_result_digest(self, store, good):
+        digest, data = good
+        self._refused(store, digest, self._edit(data, result_digest="0" * 64))
+
+    def test_fingerprint_edited_under_its_digest(self, store, good):
+        digest, data = good
+        fingerprint = json.loads(data)["fingerprint"]
+        fingerprint["fmax_mhz"] = 999.0
+        self._refused(store, digest, self._edit(data, fingerprint=fingerprint))
+
+    def test_wrong_request_digest(self, store, good):
+        """A valid record of another request, offered under this digest."""
+        digest, data = good
+        other = _request(seed=7)
+        request = json.loads(data)["request"]
+        assert request != other.to_dict()
+        lying = self._edit(data, request=other.to_dict())
+        self._refused(store, digest, lying)
+        self._refused(store, digest, self._edit(data, digest=other.digest()))
+        self._refused(store, other.digest(), data)
+
+    def test_timing_report_of_another_path(self, store, good):
+        digest, data = good
+        report = json.loads(data)["timing_report"]
+        forged = report.replace("Path Class: ", "Path Class: x", 1)
+        self._refused(store, digest, self._edit(data, timing_report=forged))
+
+    def test_oversized(self, store, good):
+        digest, data = good
+        padded = self._edit(data, journal=["x" * MAX_RECORD_BYTES])
+        self._refused(store, digest, padded)
+
+    def test_pickle(self, store, good, flow_result):
+        digest, data = good
+        self._refused(store, digest, pickle.dumps(json.loads(data), protocol=4))
+        self._refused(store, digest, pickle.dumps(flow_result, protocol=4))
+
+    def test_wire_modules_do_not_import_pickle(self):
+        assert not hasattr(store_module, "pickle")
+        assert not hasattr(peer_module, "pickle")

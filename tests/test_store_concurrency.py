@@ -2,11 +2,11 @@
 
 The store's contract under concurrency (DESIGN.md, service/store.py):
 
-* a reader can never observe a torn payload (atomic temp+rename writes);
+* a reader can never observe a torn record (atomic temp+rename writes);
 * an evictor can never delete the entry a concurrent put just (re)wrote
   (writers and evictors serialize on ``<root>/.lock``, and eviction
   re-checks each victim's mtime against its directory-scan snapshot);
-* at rest, every sidecar has its payload (payload-first/sidecar-last).
+* at rest, every entry is one complete, valid record.
 
 The hammer spawns real processes — a writer re-putting a hot digest amid
 filler churn, an evictor spinning ``evict()``, readers validating every
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import time
 
 import pytest
 
 from repro import cachedir
 from repro.service.request import FlowRequest
-from repro.service.store import STORE_SCHEMA, ResultStore
+from repro.errors import ReproError
+from repro.service.store import ResultRecord, ResultStore
 from repro.service.worker import execute_request
 
 #: Small enough that the filler churn keeps eviction busy every put.
@@ -43,7 +43,7 @@ def _hot_request() -> FlowRequest:
     return FlowRequest.make("vector_arith", config="orig", seed=2020)
 
 
-def _writer_loop(root, result_path, errors_path, deadline):
+def _writer_loop(root, record_path, errors_path, deadline):
     """put() the hot digest amid filler churn; the hot entry must be a
     valid hit immediately after every one of its puts — an evictor
     working from a stale scan is exactly what would break this.
@@ -52,10 +52,10 @@ def _writer_loop(root, result_path, errors_path, deadline):
     LRU-eligibility, so a concurrent evictor regularly *decides* to
     delete it off a scan taken just before the re-put — the widest
     possible stale-decision window."""
-    with open(result_path, "rb") as handle:
-        result = pickle.load(handle)
-    store = ResultStore(root, max_entries=MAX_ENTRIES)
     hot = _hot_request()
+    with open(record_path, "rb") as handle:
+        result = ResultRecord.parse(handle.read(), hot.digest())
+    store = ResultStore(root, max_entries=MAX_ENTRIES)
     errors = []
     index = 0
     while time.time() < deadline:
@@ -87,45 +87,48 @@ def _evictor_loop(root, errors_path, deadline):
 
 
 def _reader_loop(root, errors_path, deadline):
-    """get()/get_bytes() everything, constantly; every payload that comes
-    back must unpickle to a schema-valid document for its digest."""
+    """Read every record file straight off disk, and the hot one through
+    get_bytes() too, constantly; every record that is there must parse and
+    check out for its digest (``get`` alone would read a torn record as a
+    miss).  Only the hot entry is read through ``get``: a ``get`` refreshes
+    recency, and readers refreshing every filler between the writer's put
+    and its check would make the hot entry least-recently-used, which an
+    evictor then rightly removes."""
     store = ResultStore(root, max_entries=MAX_ENTRIES)
-    digests = [_hot_request().digest()] + [
-        _filler_request(seed).digest() for seed in FILLER_SEEDS
-    ]
+    hot = _hot_request().digest()
+    digests = [hot] + [_filler_request(seed).digest() for seed in FILLER_SEEDS]
     errors = []
     index = 0
     while time.time() < deadline:
         digest = digests[index % len(digests)]
         index += 1
-        payload = store.get_bytes(digest)
-        if payload is None:
-            continue  # a miss (evicted, or not written yet) is always legal
         try:
-            document = pickle.loads(payload)
-        except Exception as exc:  # noqa: BLE001 - torn payload
-            errors.append(
-                f"torn payload for {digest[:12]}: {type(exc).__name__}: {exc}"
-            )
-            continue
-        if document.get("schema") != STORE_SCHEMA:
-            errors.append(f"bad schema for {digest[:12]}: {document.get('schema')!r}")
-        elif document.get("meta", {}).get("digest") != digest:
-            errors.append(f"payload/digest mismatch for {digest[:12]}")
+            with open(os.path.join(root, digest + ".json"), "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            raw = None  # a miss (evicted, or not written yet) is always legal
+        hit = store.get_bytes(digest) if digest == hot else None
+        for data in (raw, hit):
+            if data is None:
+                continue
+            try:
+                ResultRecord.parse(data, digest)
+            except ReproError as exc:
+                errors.append(f"torn record for {digest[:12]}: {exc}")
     with open(errors_path, "w") as handle:
         handle.write("\n".join(errors))
 
 
 class TestStoreConcurrency:
     def test_evict_racing_put_and_get_is_safe(self, tmp_path):
-        result = execute_request(_hot_request())
-        result_path = str(tmp_path / "result.pkl")
-        with open(result_path, "wb") as handle:
-            pickle.dump(result, handle, protocol=4)
+        record = ResultRecord.build(_hot_request(), execute_request(_hot_request()))
+        record_path = str(tmp_path / "record.json")
+        with open(record_path, "wb") as handle:
+            handle.write(record.to_bytes())
         root = str(tmp_path / "store")
         deadline = time.time() + HAMMER_SECONDS
         specs = [
-            (_writer_loop, (root, result_path)),
+            (_writer_loop, (root, record_path)),
             (_evictor_loop, (root,)),
             (_reader_loop, (root,)),
             (_reader_loop, (root,)),
@@ -153,15 +156,14 @@ class TestStoreConcurrency:
                 failures.append(text)
         assert not failures, "\n".join(failures)
 
-        # At-rest consistency: no orphan sidecars, bound respected.
+        # At-rest consistency: only valid records, bound respected.
         store = ResultStore(root, max_entries=MAX_ENTRIES)
-        names = os.listdir(root)
-        for name in names:
-            if name.endswith(".json"):
-                assert name[: -len(".json")] + ".pkl" in names, (
-                    f"orphan sidecar {name}"
-                )
-        assert len(store) <= MAX_ENTRIES + 1  # the writer's last put pair
+        for name in os.listdir(root):
+            if name == ".lock":
+                continue
+            assert name.endswith(".json"), f"stray file {name}"
+            assert store.get(name[: -len(".json")]) is not None, name
+        assert len(store) <= MAX_ENTRIES + 1  # the writer's last put
         store.evict()
         assert len(store) <= MAX_ENTRIES
 

@@ -7,7 +7,9 @@ The stage store and the result store share one eviction routine
 * victims go in ``(mtime, key)`` order, the digest breaking mtime ties,
   and every put leaves the store within its bound;
 * an entry with a corrupt sidecar, or a payload whose sidecar was never
-  written, counts toward the bound and is evicted in its LRU turn.
+  written, counts toward the bound and is evicted in its LRU turn.  For
+  the result store, whose entries are one record file each, the orphan
+  payload is a ``.pkl`` an older layout left behind.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import builtins
 import hashlib
 import json
 import os
-import pickle
 
 import pytest
 
@@ -26,12 +27,20 @@ from repro.flow import Flow
 from repro.opt import BASELINE
 from repro.pipeline.store import StageArtifactStore, encode_outputs
 from repro.service.request import FlowRequest
-from repro.service.store import STORE_SCHEMA, ResultStore
+from repro.service.store import ResultRecord, ResultStore
 
 
 @pytest.fixture(scope="module")
 def flow_result(synthetic_table):
     return Flow(calibration=synthetic_table).run(build_design("matmul"), BASELINE)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def result_template(flow_result):
+    """The result every result-store entry of these tests records."""
+    _ResultKind.template = ResultRecord.build(
+        FlowRequest.make("matmul", config="orig"), flow_result
+    )
 
 
 def _key(index: int) -> str:
@@ -55,15 +64,17 @@ class _StageKind:
 
 
 class _ResultKind(_StageKind):
+    template: ResultRecord
+
     def __init__(self, root: str, max_entries: int) -> None:
         self.store = ResultStore(root, max_entries=max_entries)
         self.root = root
 
     def put(self, index: int) -> str:
-        key = _key(index)
-        payload = {"schema": STORE_SCHEMA, "meta": {"digest": key}, "result": None}
-        assert self.store.put_bytes(key, pickle.dumps(payload, protocol=4))
-        return key
+        request = FlowRequest.make("matmul", config="orig", seed=1000 + index)
+        record = ResultRecord.build(request, self.template)
+        assert self.store.put_bytes(request.digest(), record.to_bytes())
+        return request.digest()
 
 
 KINDS = {"stage": _StageKind, "result": _ResultKind}
@@ -136,14 +147,14 @@ class TestWritePathReadsNoSidecar:
             kind.put(index)
         calls = _spy(monkeypatch)
         request = FlowRequest.make("matmul", config="orig", seed=1)
-        assert kind.store.put(request, flow_result).meta["evicted"] == 0
+        assert kind.store.put(request, flow_result).evicted == 0
         assert calls["json.load"] == 0
         assert calls["stat"] == 0
         assert _entry_files(calls) == []  # only the lock file is opened
         assert len(kind) == 16
 
         request = FlowRequest.make("matmul", config="orig", seed=2)
-        assert kind.store.put(request, flow_result).meta["evicted"] == 1
+        assert kind.store.put(request, flow_result).evicted == 1
         assert calls["json.load"] == 0
         assert _entry_files(calls) == []
         assert len(kind) == 16
