@@ -5,8 +5,8 @@ Two measurements, recorded into ``BENCH_flow.json`` under
 
 * ``compare``: ``Flow.compare`` (Orig + Opt on one design) run three ways —
   cold private store, warm store, cache disabled.  The cold run already
-  reuses the shared front-end through the in-process overlay; the warm run
-  skips every cacheable stage of both configs.
+  reuses the shared front-end: the Opt run reads what the Orig run just
+  stored; the warm run skips every cacheable stage of both configs.
 * ``sweep``: a 3-point × 2-config inline sweep, cold vs warm.  The warm
   sweep re-runs only the non-cacheable calibration stage per point.  Its
   ``warm_s`` is the median of three warm sweeps, each after a
@@ -77,7 +77,7 @@ def test_compare_prefix_reuse(bench_extras, tmp_path):
         "warm_stages_skipped": skipped(warm),
         "warm_speedup": round(plain_s / max(warm_s, 1e-9), 2),
     }
-    assert skipped(cold) > 0  # overlay front-end sharing inside compare
+    assert skipped(cold) > 0  # front-end sharing through the store inside compare
     assert skipped(warm) > skipped(cold)
 
 

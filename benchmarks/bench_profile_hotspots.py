@@ -1,11 +1,10 @@
 """Hot-path profile over a broadcast-factor sweep, recorded for posterity.
 
 Runs the genome design at several unroll factors — the broadcast-width
-axis of the source paper — with the stage cache and cross-run incremental
-reuse off (profiling measures where *this run's* wall clock goes; replayed
-or skipped stages would read as free), profiles the span trees, and
-records the ``repro-profile/1`` document under the ``profile`` key of
-``BENCH_flow.json``.
+axis of the source paper — with the stage cache off (profiling measures
+where *this run's* wall clock goes; replayed stages would read as free),
+profiles the span trees, and records the ``repro-profile/1`` document
+under the ``profile`` key of ``BENCH_flow.json``.
 
 Asserted: the profiler finds NO super-linear stage over the sweep.  The
 O(n²) refinement loop inside placement — the hot spot ROADMAP item 3
@@ -54,11 +53,7 @@ def _measure():
         for factor in FACTORS:
             gc.collect()
             tracer = obs.Tracer()
-            flow = Flow(
-                calibration=synthetic_calibration(),
-                stage_cache=False,
-                incremental=False,
-            )
+            flow = Flow(calibration=synthetic_calibration(), stage_cache=False)
             with obs.activate(tracer):
                 flow.run(build_design(DESIGN, **{PARAM: factor}), FULL)
             reports.append((float(factor), obs.run_report(tracer)))

@@ -80,6 +80,7 @@ from repro.designs import build_design, design_names
 from repro.engine import Engine, FlowFailure, FlowJob
 from repro.errors import ReproError
 from repro.opt import BASELINE, CONFIG_LABELS
+from repro.pipeline import StageArtifactStore
 from repro.service.client import DEFAULT_HOST, DEFAULT_PORT
 
 #: ``--config`` labels (shared with the service; see repro.opt).
@@ -121,11 +122,15 @@ def _build_design(name: str, include_extra: bool = False):
 
 
 def _flow_for(args) -> Flow:
+    # --stage-cache: "off" disables stage reuse, "on" forces the default
+    # store even under $REPRO_STAGE_CACHE=off, unset defers to the env.
+    stage_cache = getattr(args, "stage_cache", None)
+    if stage_cache is not None:
+        stage_cache = StageArtifactStore() if stage_cache == "on" else False
     return Flow(
         seed=args.seed,
         calibration_path=getattr(args, "calibration", None),
-        stage_cache=getattr(args, "stage_cache", None),
-        incremental=getattr(args, "incremental", None),
+        stage_cache=stage_cache,
     )
 
 
@@ -145,15 +150,6 @@ def _add_flow_options(parser, jobs: bool = True) -> None:
         help="stage-artifact caching under $REPRO_CACHE_DIR/stages "
              "(default: on unless $REPRO_STAGE_CACHE=off); 'off' re-runs "
              "every pipeline stage",
-    )
-    parser.add_argument(
-        "--incremental", choices=("on", "off"), default=None,
-        metavar="{on,off}",
-        help="incremental recompilation: a per-flow stage overlay and "
-             "stage-output early cutoff across the runs of one sweep "
-             "(default: on unless "
-             "$REPRO_INCREMENTAL=off); results are bit-identical either "
-             "way",
     )
     if jobs:
         parser.add_argument(
@@ -305,10 +301,9 @@ def _cmd_profile(args) -> int:
     # super-linear slope.
     for _rep in range(args.repeat):
         for factor in factors:
-            # Fresh flow per run: no stage-cache hits and no cross-run
-            # incremental reuse may skip the work being timed.  The
-            # collection boundary keeps garbage from earlier runs out of
-            # this run's span timings.
+            # Fresh flow per run, stage cache off: no stage-cache hit may
+            # skip the work being timed.  The collection boundary keeps
+            # garbage from earlier runs out of this run's span timings.
             gc.collect()
             flow = _flow_for(args)
             tracer = obs.Tracer()
@@ -938,9 +933,9 @@ def main(argv=None) -> int:
     p_prof.add_argument("--json", action="store_true")
     _add_flow_options(p_prof, jobs=False)
     # Profiling measures this run's wall clock; stage-cache hits would
-    # replay stages in ~0ms and cross-run incremental reuse would skip the
-    # very work being measured, so default both off.
-    p_prof.set_defaults(fn=_cmd_profile, stage_cache="off", incremental="off")
+    # replay stages in ~0ms and skip the very work being measured, so
+    # default the cache off.
+    p_prof.set_defaults(fn=_cmd_profile, stage_cache="off")
 
     p_events = sub.add_parser(
         "events", help="read or follow the structured event journal"

@@ -46,8 +46,6 @@ FORMAT_VERSION = 1
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Set to ``off``/``0``/``no`` to bypass the on-disk cache entirely.
-CACHE_TOGGLE_ENV = "REPRO_CALIBRATION_CACHE"
 
 try:  # POSIX advisory locks; on platforms without fcntl the lock is a no-op
     import fcntl
@@ -217,11 +215,6 @@ def default_calibration_path(
     return os.path.join(default_cache_dir(), name)
 
 
-def cache_enabled() -> bool:
-    """Whether the on-disk cache is active (``REPRO_CALIBRATION_CACHE``)."""
-    return os.environ.get(CACHE_TOGGLE_ENV, "").lower() not in ("off", "0", "no")
-
-
 @contextmanager
 def calibration_lock(path: str) -> Iterator[None]:
     """Exclusive advisory lock guarding the build-or-load of ``path``.
@@ -293,27 +286,11 @@ def resolve_calibration(
     path under :func:`default_cache_dir`) → build and save.  Returns the
     table plus where it came from (``"memory"``/``"disk"``/``"built"``) so
     callers can report cache effectiveness.
-
-    With the disk cache disabled (:data:`CACHE_TOGGLE_ENV`) and no explicit
-    ``path``, falls back to the in-memory characterization only.
     """
     target = path or default_calibration_path(device, seed, smooth_passes)
     key = (device, seed, smooth_passes, os.path.abspath(target))
     if key in _MEMORY:
         return _MEMORY[key], SOURCE_MEMORY
-    if path is None and not cache_enabled():
-        table = build_default_calibration(
-            device, seed=seed, smooth_passes=smooth_passes
-        )
-        emit_event(
-            "calibration.build",
-            device=device,
-            seed=seed,
-            smooth_passes=smooth_passes,
-            cached=False,
-        )
-        _MEMORY[key] = table
-        return table, SOURCE_BUILT
     with calibration_lock(target):
         if os.path.exists(target):
             table = load_calibration(

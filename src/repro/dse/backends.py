@@ -6,7 +6,7 @@ explorer's results are backend-independent, only wall-clock and placement
 differ:
 
 * :class:`InlineBackend` — a :class:`~repro.flow.Flow` in this process
-  (warm stage overlay and store, no pickling; the default);
+  (warm stage store, no pickling; the default);
 * :class:`EngineBackend` — the multiprocessing experiment engine
   (:class:`repro.engine.pool.Engine`), one worker per ``--jobs``;
 * :class:`ServiceBackend` — a single-node flow service

@@ -68,15 +68,13 @@ def sweep(
     sweeps fan out over a parallel ``engine``'s workers; callable builders
     run inline (arbitrary closures are not shipped to worker processes).
 
-    Stage-artifact reuse (see :mod:`repro.pipeline`): all runs of an
-    inline sweep share one in-process stage overlay, so per-value the
-    config runs reuse their common front-end (pragma lowering in
-    particular) and identical sweep points are served outright.  Fanned-out
-    sweeps get the same effect through the shared on-disk store under
-    ``$REPRO_CACHE_DIR/stages``, which every worker process reads and
-    writes.  Both are off when the flow's ``stage_cache`` is disabled.
+    Stage-artifact reuse (see :mod:`repro.pipeline`): every run, inline
+    or in a worker process, reads and writes the flow's stage store
+    (``$REPRO_CACHE_DIR/stages`` by default), so per-value the config runs
+    reuse their common front-end (pragma lowering in particular) and
+    identical sweep points are served outright.  Off when the flow's
+    ``stage_cache`` is disabled.
     """
-    from repro.pipeline import MemoryStageStore
     configs = configs or DEFAULT_CONFIGS
     engine = engine or Engine(flow=flow)
     name = builder if isinstance(builder, str) else getattr(builder, "__name__", "design")
@@ -97,14 +95,11 @@ def sweep(
                 row.results[label] = flat[per_row * i + j]
             result.rows.append(row)
         return result
-    overlay = (
-        MemoryStageStore() if engine.flow._stage_store() is not None else None
-    )
     for value in values:
         row = SweepRow(value=value)
         for label, config in configs.items():
             design = builder(**{param: value}, **fixed_params)
-            row.results[label] = engine.flow.run(design, config, _overlay=overlay)
+            row.results[label] = engine.flow.run(design, config)
         result.rows.append(row)
     return result
 

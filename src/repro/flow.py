@@ -17,30 +17,30 @@ Each stage is content-addressed; when a stage's input digest matches an
 artifact in the on-disk store (``$REPRO_CACHE_DIR/stages/``) the stage is
 skipped and its recorded outputs and trace are replayed instead, so a
 :meth:`Flow.compare` or a sweep re-runs only the stages a config change
-actually invalidates.
+actually invalidates — and, through early cutoff, none downstream of a
+stage that re-ran but reproduced its stored outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Tuple, Union
 
 from repro import hashing, obs
 from repro.delay.cache import resolve_calibration
 from repro.delay.calibrated import CalibrationTable
+from repro.errors import ReproError
 from repro.ir.program import Design
 from repro.opt import BASELINE, OptimizationConfig
 from repro.physical.placement import Placement
 from repro.physical.replication import ReplicationConfig
 from repro.physical.timing import TimingResult
 from repro.pipeline import (
-    MemoryStageStore,
     PassManager,
     StageArtifactStore,
     build_stages,
     stage_cache_enabled,
 )
-from repro.pipeline.incremental import IncrementalState, coerce_incremental
 from repro.rtl.generator import GenResult
 from repro.rtl.resources import ResourceReport
 from repro.scheduling.schedule import Schedule
@@ -158,18 +158,14 @@ class Flow:
         replication: Backend fanout-optimization knobs (the paper runs with
             it enabled; the ablation bench disables it).
         retime: Run movable-register retiming after replication.
-        stage_cache: Stage-artifact caching policy.  ``None`` (default)
-            uses the shared on-disk store under ``$REPRO_CACHE_DIR/stages``
-            unless ``$REPRO_STAGE_CACHE`` is ``off``; ``True``/``"on"``
-            forces the default store; ``False``/``"off"`` disables all
-            stage reuse; a store instance (e.g. a private
+        stage_cache: The stage store, the flow's only stage reuse path.
+            ``None`` (default) uses the shared on-disk store under
+            ``$REPRO_CACHE_DIR/stages`` unless ``$REPRO_STAGE_CACHE`` is
+            ``off``; ``False`` disables all stage reuse (every run re-runs
+            every stage); a store instance (e.g. a private
             :class:`~repro.pipeline.StageArtifactStore`) is used as-is.
-        incremental: Incremental-recompilation policy (see
-            :mod:`repro.pipeline.incremental`).  ``None`` (default) is on
-            unless ``$REPRO_INCREMENTAL`` is ``off``; ``False``/``"off"``
-            disables the per-flow stage overlay (which lives on this
-            instance and serves every run it makes) and content-digest
-            early cutoff.  Results are bit-identical either way.
+            Content-digest early cutoff is on whenever a store is in use.
+            Results are bit-identical either way.
     """
 
     #: Smoothing passes requested from the §4.1 characterization.
@@ -183,8 +179,7 @@ class Flow:
         replication: Optional[ReplicationConfig] = None,
         retime: bool = True,
         calibration_path: Optional[str] = None,
-        stage_cache: Union[None, bool, str, StageArtifactStore] = None,
-        incremental: Union[None, bool, str] = None,
+        stage_cache: Union[None, Literal[False], StageArtifactStore] = None,
     ) -> None:
         self.clock_mhz = clock_mhz
         self.seed = seed
@@ -193,21 +188,8 @@ class Flow:
         self.replication = replication or ReplicationConfig()
         self.retime = retime
         self.stage_cache = stage_cache
-        self.incremental = incremental
-        self._incremental_state_obj: Optional[IncrementalState] = None
         #: (device, seed, smooth_passes, path) → (table, original source).
         self._calibration_memo: Dict[Tuple, Tuple[CalibrationTable, str]] = {}
-
-    @property
-    def incremental_enabled(self) -> bool:
-        """Resolved incremental-recompilation policy (env-aware)."""
-        return coerce_incremental(self.incremental)
-
-    def _incremental_state(self) -> IncrementalState:
-        """Lazy per-instance incremental workspace (the stage overlay)."""
-        if self._incremental_state_obj is None:
-            self._incremental_state_obj = IncrementalState()
-        return self._incremental_state_obj
 
     # ------------------------------------------------------------------
     def _resolve_calibration(self, device: str) -> Tuple[CalibrationTable, str]:
@@ -236,12 +218,13 @@ class Flow:
         cache = self.stage_cache
         if cache is None:
             return StageArtifactStore() if stage_cache_enabled() else None
-        if isinstance(cache, bool):
-            return StageArtifactStore() if cache else None
-        if isinstance(cache, str):
-            if cache.strip().lower() in ("off", "0", "no", "false"):
-                return None
-            return StageArtifactStore()
+        if cache is False:
+            return None
+        if not isinstance(cache, StageArtifactStore):
+            raise ReproError(
+                f"stage_cache must be None, False or a StageArtifactStore, "
+                f"got {cache!r}"
+            )
         return cache
 
     # ------------------------------------------------------------------
@@ -249,7 +232,6 @@ class Flow:
         self,
         design: Design,
         config: OptimizationConfig = BASELINE,
-        _overlay: Optional[MemoryStageStore] = None,
         plan: Optional["TransformPlan"] = None,
         clock_mhz: Optional[float] = None,
     ) -> FlowResult:
@@ -268,10 +250,6 @@ class Flow:
         span is attached to :attr:`FlowResult.trace`; the per-stage journal
         to :attr:`FlowResult.journal`.
 
-        ``_overlay`` is an in-process stage store shared by
-        :meth:`compare` and the sweep drivers so sibling runs reuse their
-        common front-end even when the on-disk store is cold.
-
         ``plan`` is an optional :class:`~repro.ir.transforms.TransformPlan`
         applied by the ``pragmas`` stage before lowering; its digest enters
         that stage's params, so planned and plan-free runs of one design
@@ -287,13 +265,7 @@ class Flow:
         ctx: Dict[str, object] = {"design": design, "clock_ns": 1000.0 / clock_mhz}
         if plan is not None and len(plan):
             ctx["plan"] = plan
-        if _overlay is None and self.incremental_enabled:
-            # The persistent per-flow overlay: re-run sweep points whose
-            # stage inputs are byte-identical skip those stages outright.
-            _overlay = self._incremental_state().overlay
-        manager = PassManager(
-            build_stages(), store=self._stage_store(), overlay=_overlay
-        )
+        manager = PassManager(build_stages(), store=self._stage_store())
 
         tracer = obs.current_tracer()
         with tracer.span(
@@ -337,18 +309,15 @@ class Flow:
     ) -> Tuple[FlowResult, FlowResult]:
         """Run a design twice (Table 1's Orig vs Opt columns).
 
-        Both runs share an in-process stage overlay, so the front-end
-        stages whose digests don't depend on the config delta (pragma
-        lowering in particular — the design is verified and lowered exactly
-        once) are executed by the first run and replayed by the second,
-        even when the on-disk store starts cold.  Disabled together with
-        the stage cache (``stage_cache="off"``).
+        The second run reads the first one's entries from the stage store,
+        so the front-end stages whose digests don't depend on the config
+        delta (pragma lowering in particular — the design is verified and
+        lowered exactly once) are executed by the first run and replayed by
+        the second, even when the store starts cold.  With the stage cache
+        disabled (``stage_cache=False``) both runs execute every stage.
         """
         from repro.opt import FULL
 
-        overlay = MemoryStageStore() if self._stage_store() is not None else None
-        orig = self.run(design, baseline, _overlay=overlay)
-        opt = self.run(
-            design, optimized if optimized is not None else FULL, _overlay=overlay
-        )
+        orig = self.run(design, baseline)
+        opt = self.run(design, optimized if optimized is not None else FULL)
         return orig, opt

@@ -13,10 +13,9 @@ Four invariants, each a family of checks over one generated program:
 * **cache** — compiling the same program cold, warm (stage-artifact store
   hit) and with caching disabled must yield identical
   :meth:`~repro.flow.FlowResult.result_digest` values.
-* **incremental** — recompiling at a bumped clock on a warm incremental
-  flow (persistent stage overlay, content-digest early cutoff) must be
-  bit-identical to compiling the bumped clock from scratch with every
-  reuse path disabled.
+* **incremental** — recompiling at a bumped clock on a flow whose stage
+  store is warm (content-digest early cutoff) must be bit-identical to
+  compiling the bumped clock from scratch with the stage cache disabled.
 
 :func:`run_campaign` drives a whole seeded campaign, shrinks every failure
 to a minimal reproducer and writes it to the corpus directory.
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -285,7 +285,7 @@ def check_cache(
         clock_mhz=spec.clock_mhz,
         seed=2020,
         calibration=calibration,
-        stage_cache="off",
+        stage_cache=False,
     )
     off = uncached_flow.run(build_program(spec).design, config=config)
     digests = {"cold": cold.result_digest(), "warm": warm.result_digest(),
@@ -301,34 +301,36 @@ def check_cache(
 def check_incremental(spec: ProgramSpec, calibration=None) -> List[Divergence]:
     """Incremental recompilation must be bit-identical to from-scratch.
 
-    One warm flow compiles the program at its spec'd clock, then again at
-    a bumped clock — the second run rides the persistent stage overlay
-    and, where the bump changes no schedule decision, the content-digest
-    early cutoff.  A fresh flow with every reuse path disabled compiles the
-    bumped clock from scratch; the two bumped-clock results must agree
-    bit-for-bit.
+    One flow compiles the program at its spec'd clock into a private
+    temporary stage store, then again at a bumped clock — the second run
+    replays the clock-independent stages from that store and, where the
+    bump changes no schedule decision, the content-digest early cutoff.
+    A fresh flow with the stage cache disabled compiles the bumped clock
+    from scratch; the two bumped-clock results must agree bit-for-bit.
     """
     calibration = calibration or synthetic_calibration()
     config = CONFIG_LABELS.get(spec.config)
     if config is None:
         raise SpecError(f"{spec.name}: unknown config label {spec.config!r}")
     bumped = spec.clock_mhz + 83  # off the spec'd clock, off common targets
-    warm_flow = Flow(
-        clock_mhz=spec.clock_mhz,
-        seed=2020,
-        calibration=calibration,
-        stage_cache="off",
-        incremental=True,
-    )
-    warm_flow.run(build_program(spec).design, config=config)
-    warm_flow.clock_mhz = bumped
-    warm = warm_flow.run(build_program(spec).design, config=config)
+    root = tempfile.mkdtemp(prefix="repro-fuzz-incremental-")
+    try:
+        warm_flow = Flow(
+            clock_mhz=spec.clock_mhz,
+            seed=2020,
+            calibration=calibration,
+            stage_cache=StageArtifactStore(root=root),
+        )
+        warm_flow.run(build_program(spec).design, config=config)
+        warm_flow.clock_mhz = bumped
+        warm = warm_flow.run(build_program(spec).design, config=config)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
     scratch_flow = Flow(
         clock_mhz=bumped,
         seed=2020,
         calibration=calibration,
-        stage_cache="off",
-        incremental=False,
+        stage_cache=False,
     )
     scratch = scratch_flow.run(build_program(spec).design, config=config)
     digests = {

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -208,12 +207,6 @@ class Placer:
 
     #: Cells demanding more than this many tiles are deferred (see place()).
     BIG_CELL_TILES = 64
-
-    #: Deduped adjacency per netlist, revalidated by (cells, nets) counts —
-    #: sound for this codebase because every netlist mutation (replication,
-    #: retiming, emission) adds or removes cells/nets, never rewires while
-    #: keeping both counts equal.
-    _ADJACENCY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def __init__(self, fabric: Fabric, seed: int = 2020) -> None:
         self.fabric = fabric
@@ -481,18 +474,13 @@ class Placer:
     # ------------------------------------------------------------------
     @staticmethod
     def _adjacency(netlist: Netlist) -> Dict[str, List[str]]:
-        """Deduped undirected neighbor lists, cached per netlist.
+        """Deduped undirected neighbor lists of ``netlist``.
 
         A cell driving another through k parallel nets appears once, not k
         times — k-fold duplicates would otherwise inflate both the centroid
         weighting and every worst-distance scan of broadcast hubs.  First
         occurrence order is preserved (the DFS ordering depends on it).
         """
-        cached = Placer._ADJACENCY_CACHE.get(netlist)
-        if cached is not None:
-            n_cells, n_nets, adj = cached
-            if n_cells == len(netlist.cells) and n_nets == len(netlist.nets):
-                return adj
         adj: Dict[str, List[str]] = {name: [] for name in netlist.cells}
         seen: Dict[str, set] = {name: set() for name in netlist.cells}
         for net in netlist.nets.values():
@@ -505,9 +493,6 @@ class Placer:
                     if driver not in seen[sink.name]:
                         seen[sink.name].add(driver)
                         adj[sink.name].append(driver)
-        Placer._ADJACENCY_CACHE[netlist] = (
-            len(netlist.cells), len(netlist.nets), adj
-        )
         return adj
 
     def _bfs_order(

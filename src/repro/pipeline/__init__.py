@@ -4,8 +4,8 @@ The pipeline decomposes the flow into eleven :class:`Stage` steps executed
 by a :class:`PassManager` over a shared context dict.  Each stage carries a
 content digest chained from the design structure, its parameters, and its
 producers' digests; a matching artifact in the :class:`StageArtifactStore`
-(``$REPRO_CACHE_DIR/stages/``) or a :class:`MemoryStageStore` overlay lets
-the manager skip the stage and replay its recorded trace instead.
+(``$REPRO_CACHE_DIR/stages/``) lets the manager skip the stage and replay
+its recorded trace instead.
 
 See ``DESIGN.md`` §7 for the DAG, digest propagation, and invalidation
 semantics.
@@ -16,12 +16,6 @@ from repro.pipeline.digest import (
     TABLE_DIGEST_SCHEMA,
     design_digest,
     table_digest,
-)
-from repro.pipeline.incremental import (
-    INCREMENTAL_ENV,
-    IncrementalState,
-    coerce_incremental,
-    incremental_enabled_default,
 )
 from repro.pipeline.manager import ACTION_RUN, ACTION_SKIPPED, PassManager
 from repro.pipeline.stage import STAGE_DIGEST_SCHEMA, Stage
@@ -43,7 +37,6 @@ from repro.pipeline.store import (
     DEFAULT_MAX_ENTRIES,
     STAGE_CACHE_ENV,
     STAGE_STORE_SCHEMA,
-    MemoryStageStore,
     StageArtifactStore,
     StoredStage,
     decode_outputs,
@@ -59,9 +52,6 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DESIGN_DIGEST_SCHEMA",
     "IIAnalysisStage",
-    "INCREMENTAL_ENV",
-    "IncrementalState",
-    "MemoryStageStore",
     "PassManager",
     "PlacementStage",
     "PragmasStage",
@@ -80,12 +70,10 @@ __all__ = [
     "TABLE_DIGEST_SCHEMA",
     "TimingStage",
     "build_stages",
-    "coerce_incremental",
     "decode_outputs",
     "default_stage_dir",
     "design_digest",
     "encode_outputs",
-    "incremental_enabled_default",
     "stage_cache_enabled",
     "table_digest",
 ]

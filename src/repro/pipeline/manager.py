@@ -6,9 +6,8 @@ For every stage, in order:
    engine, service — gets the identical trace skeleton);
 2. compute the stage's params and chain its input digest from the digests
    of the keys it consumes;
-3. look the digest up — memory overlay first (:class:`MemoryStageStore`,
-   shared across the runs of one ``Flow.compare``/sweep), then the on-disk
-   :class:`StageArtifactStore` (shared across processes and sessions);
+3. look the digest up in the on-disk :class:`StageArtifactStore` (shared
+   across runs, processes and sessions);
 4. on a hit: defer loading the stored outputs until something reads them
    (a later skipped stage usually supersedes them first), replay the
    stored span snapshot (attrs, counters, gauges, histogram samples, child
@@ -22,7 +21,12 @@ For every stage, in order:
    the next stage re-binds every key it produces, so nothing loads it.
 
 Every output key then inherits the stage's digest, which is how a change
-invalidates exactly the downstream stages that transitively consume it.
+invalidates exactly the downstream stages that transitively consume it —
+unless the stage supplies a *content* digest for the key (early cutoff,
+:meth:`Stage.content_digests <repro.pipeline.stage.Stage.content_digests>`):
+a re-run stage that reproduced byte-identical outputs then invalidates
+nothing downstream.  Content digests are computed and chained exactly when
+a store is set; without one nothing is looked up, so nothing is hashed.
 
 Before returning, the manager loads every output still deferred.  A read
 that an entry cannot serve — a key of a sidecar-only checkpoint whose
@@ -60,7 +64,6 @@ from repro.pipeline.digest import design_digest
 from repro.pipeline.stage import Stage
 from repro.pipeline.store import (
     STAGE_STORE_SCHEMA,
-    MemoryStageStore,
     StageArtifactStore,
     encode_outputs,
 )
@@ -177,42 +180,33 @@ class PassManager:
     Args:
         stages: The stages, in DAG order (see
             :func:`repro.pipeline.stages.build_stages`).
-        store: On-disk artifact store, or ``None`` to disable persistence.
-        overlay: In-process store consulted before ``store`` and written
-            alongside it; ``Flow.compare`` shares one across its two runs.
+        store: On-disk artifact store, or ``None`` to disable stage reuse
+            (and early cutoff with it).
     """
 
     def __init__(
         self,
         stages: Sequence[Stage],
         store: Optional[StageArtifactStore] = None,
-        overlay: Optional[MemoryStageStore] = None,
     ) -> None:
         self.stages = list(stages)
         self.store = store
-        self.overlay = overlay
 
-    def _lookup(
-        self, digest: str, denied: Set[str]
-    ) -> Tuple[Optional[Any], Optional[str]]:
+    def _lookup(self, digest: str, denied: Set[str]) -> Optional[Any]:
         if digest in denied:
-            return None, None
-        for store, source in ((self.overlay, "overlay"), (self.store, "disk")):
-            hit = store.get(digest) if store is not None else None
-            if hit is None:
-                continue
-            if denied:
-                # A retry has started, so damaged entries seldom come
-                # alone: load now, and each one is a miss in this attempt
-                # rather than the cause of the next.
-                try:
-                    hit = _Loaded(hit, hit.load())
-                except Exception as exc:
-                    obs.emit_event("stage.unloadable", digest=digest, error=repr(exc))
-                    denied.add(digest)
-                    return None, None
-            return hit, source
-        return None, None
+            return None
+        hit = self.store.get(digest)
+        if hit is not None and denied:
+            # A retry has started, so damaged entries seldom come alone:
+            # load now, and each one is a miss in this attempt rather than
+            # the cause of the next.
+            try:
+                hit = _Loaded(hit, hit.load())
+            except Exception as exc:
+                obs.emit_event("stage.unloadable", digest=digest, error=repr(exc))
+                denied.add(digest)
+                return None
+        return hit
 
     def execute(
         self, flow, config, ctx: Dict[str, Any]
@@ -224,7 +218,7 @@ class PassManager:
         those entries plus every stage's outputs, all loaded.
         """
         tracer = obs.current_tracer()
-        caching = self.store is not None or self.overlay is not None
+        caching = self.store is not None
         if caching and not isinstance(tracer, obs.Tracer):
             # Untraced run that will store artifacts: activate a private
             # tracer so every artifact still carries a replayable span
@@ -276,7 +270,8 @@ class PassManager:
                     else "stage.miss",
                     stage=record["stage"],
                     digest=record["digest"],
-                    # "memory"/"disk" ("source" names the emitter)
+                    # the journal's source (the "source" kwarg names the
+                    # emitter)
                     cache=record["source"],
                     duration_ms=record["duration_ms"],
                 )
@@ -294,7 +289,6 @@ class PassManager:
     ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
         journal: List[Dict[str, Any]] = []
         key_digests: Dict[str, str] = {"design": design_digest(ctx["design"])}
-        incremental = bool(getattr(flow, "incremental_enabled", False))
         for stage in self.stages:
             started = time.perf_counter()
             with tracer.span(stage.name) as span:
@@ -302,17 +296,16 @@ class PassManager:
                 digest = stage.input_digest(params, key_digests)
                 hit = source = None
                 if stage.cacheable and caching:
-                    hit, source = self._lookup(digest, denied)
+                    hit = self._lookup(digest, denied)
                 if hit is not None:
+                    source = "disk"
                     if stage.sidecar_only:
                         sidecar_hits.append(digest)
                     # Defer the unpickle: a later skipped stage often
                     # supersedes these keys before anyone reads them, in
                     # which case this bundle is never loaded at all.
                     ctx.defer(stage.outputs, hit)
-                    content: Dict[str, str] = (
-                        dict(hit.meta.get("content") or {}) if incremental else {}
-                    )
+                    content: Dict[str, str] = dict(hit.meta.get("content") or {})
                     obs.replay_span(span, hit.meta.get("span") or {})
                     span.set("cached", True)
                     tracer.add("pipeline.stages_skipped")
@@ -329,15 +322,15 @@ class PassManager:
                         payload = encode_outputs(
                             stage.name, {} if stage.sidecar_only else outputs
                         )
-                    # Early cutoff (incremental mode): chain each output
-                    # key from its *content* digest where the stage can
-                    # provide one, so a re-run that reproduced identical
-                    # outputs invalidates nothing downstream.  Computed now
-                    # — before any later stage mutates the live objects in
-                    # place — and stored in the artifact sidecar so a skip
-                    # can chain the same digests without loading outputs.
+                    # Early cutoff: chain each output key from its *content*
+                    # digest where the stage can provide one, so a re-run
+                    # that reproduced identical outputs invalidates nothing
+                    # downstream.  Computed now — before any later stage
+                    # mutates the live objects in place — and stored in the
+                    # artifact sidecar so a skip can chain the same digests
+                    # without loading outputs.
                     content = {}
-                    if incremental:
+                    if caching:
                         content = (
                             stage.content_digests(
                                 flow, config, ctx, outputs, payload
@@ -345,16 +338,16 @@ class PassManager:
                             or {}
                         )
                     if payload is not None:
-                        meta = {
-                            "schema": STAGE_STORE_SCHEMA,
-                            "stage": stage.name,
-                            "span": obs.snapshot_span(span),
-                            "content": content,
-                        }
-                        if self.overlay is not None:
-                            self.overlay.put(digest, payload, meta)
-                        if self.store is not None:
-                            self.store.put(digest, payload, meta)
+                        self.store.put(
+                            digest,
+                            payload,
+                            {
+                                "schema": STAGE_STORE_SCHEMA,
+                                "stage": stage.name,
+                                "span": obs.snapshot_span(span),
+                                "content": content,
+                            },
+                        )
                     tracer.add("pipeline.stages_run")
                     action = ACTION_RUN
             for key in stage.outputs:

@@ -92,7 +92,7 @@ class Stage:
         (``None`` when nothing is stored), so a stage can hash it rather
         than pickle its outputs a second time.
 
-        Salsa-style early cutoff: when incremental recompilation is on, the
+        Salsa-style early cutoff: whenever a stage store is in use, the
         manager chains each output key's digest from the *content* returned
         here instead of the stage's provenance digest.  A stage that re-ran
         (new inputs) but produced byte-identical outputs then leaves every

@@ -28,12 +28,9 @@ that entry treated as a miss.  Eviction reads only names and mtimes
 :data:`STAGE_STORE_SCHEMA` (an entry written by an older layout, e.g. an
 uncompressed payload or dict-state nets) is a miss too.
 
-:class:`MemoryStageStore` is the in-process overlay :meth:`Flow.compare
-<repro.flow.Flow.compare>` shares between its two runs: same interface,
-but entries live as pickled bytes in a dict.  Hits still unpickle fresh
-copies — downstream stages mutate their inputs in place, so handing out a
-shared live object would let one run corrupt another's artifacts.  Its
-payloads stay uncompressed: an overlay hit costs one unpickle, nothing more.
+Every :meth:`StoredStage.load` unpickles a fresh object graph: downstream
+stages mutate their inputs in place, so handing out a shared live object
+would let one run corrupt another's artifacts.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import os
 import pickle
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -59,8 +55,8 @@ STAGE_STORE_SCHEMA = "repro-stage-store/3"
 #: at a fraction of the cost of pickling them.
 PAYLOAD_ZLIB_LEVEL = 1
 
-#: Environment toggle mirroring ``REPRO_CALIBRATION_CACHE``: set to
-#: ``off``/``0``/``no`` to disable the on-disk stage cache.
+#: Environment toggle: set to ``off``/``0``/``no`` to disable the on-disk
+#: stage cache.
 STAGE_CACHE_ENV = "REPRO_STAGE_CACHE"
 
 #: Default LRU bound.  Stage bundles are smaller than whole-flow results
@@ -123,61 +119,6 @@ class StoredStage:
         """Unpickle the output bundle — always a fresh object graph."""
         with open(self.path, "rb") as handle:
             return decode_outputs(zlib.decompress(handle.read()))
-
-
-class _MemoryEntry:
-    """Overlay hit: same duck type as :class:`StoredStage`, bytes-backed."""
-
-    __slots__ = ("digest", "meta", "_data")
-
-    def __init__(self, digest: str, meta: Dict[str, Any], data: bytes) -> None:
-        self.digest = digest
-        self.meta = meta
-        self._data = data
-
-    @property
-    def stage(self) -> str:
-        return self.meta.get("stage", "")
-
-    def load(self) -> Dict[str, Any]:
-        return decode_outputs(self._data)
-
-
-class MemoryStageStore:
-    """In-process stage store: the overlay ``Flow.compare`` and sweeps can
-    share across runs without touching disk.
-
-    ``max_entries`` bounds the store LRU-style (a hit refreshes recency);
-    ``None`` means unbounded, which is fine for a single compare but not
-    for the per-flow overlay a week-long sweep keeps alive.
-    """
-
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ReproError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-
-    def get(self, digest: str) -> Optional[_MemoryEntry]:
-        hit = self._entries.get(digest)
-        if hit is None:
-            return None
-        self._entries.move_to_end(digest)
-        meta, data = hit
-        return _MemoryEntry(digest, meta, data)
-
-    def put(self, digest: str, payload: bytes, meta: Dict[str, Any]) -> None:
-        self._entries[digest] = (dict(meta), payload)
-        self._entries.move_to_end(digest)
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return True
 
 
 class StageArtifactStore:
@@ -247,8 +188,7 @@ class StageArtifactStore:
     def put(self, digest: str, payload: bytes, meta: Dict[str, Any]) -> int:
         """Store one entry atomically, then evict down to ``max_entries``.
 
-        ``payload`` comes pre-pickled (see :func:`encode_outputs`) so the
-        same bytes can feed a memory overlay without re-pickling; it is
+        ``payload`` comes pre-pickled (see :func:`encode_outputs`); it is
         compressed here, and ``meta["payload_bytes"]`` records its
         uncompressed length.  Returns the number of entries evicted.
         """

@@ -151,12 +151,6 @@ class TestResolveCalibration:
         with pytest.raises(ReproError, match="seed"):
             resolve_calibration("aws-f1", seed=2, path=path)
 
-    def test_cache_disabled_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CALIBRATION_CACHE", "off")
-        _table, source = resolve_calibration("aws-f1")
-        assert source == "built"
-        assert not os.path.exists(default_calibration_path("aws-f1"))
-
     def test_cache_dir_env_override(self):
         assert default_cache_dir() == os.environ["REPRO_CACHE_DIR"]
 

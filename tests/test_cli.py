@@ -70,6 +70,22 @@ class TestCli:
         assert report["runs"][0]["counters"]
         assert trace_path.exists()
 
+    @pytest.mark.parametrize("flag", ["off", "on", None])
+    def test_stage_cache_flag_maps_to_flow_policy(self, flag):
+        from argparse import Namespace
+
+        from repro.__main__ import _flow_for
+        from repro.pipeline import StageArtifactStore
+
+        flow = _flow_for(Namespace(seed=2020, stage_cache=flag))
+        if flag == "off":
+            assert flow.stage_cache is False
+            assert flow._stage_store() is None
+        elif flag == "on":
+            assert isinstance(flow.stage_cache, StageArtifactStore)
+        else:
+            assert flow.stage_cache is None
+
 
 class TestCliEngine:
     """--jobs and --calibration, the engine/cache flags of the CLI."""

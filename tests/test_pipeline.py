@@ -14,7 +14,6 @@ from repro.flow import Flow
 from repro.ir.program import Design
 from repro.opt import BASELINE, FULL
 from repro.pipeline import (
-    MemoryStageStore,
     Stage,
     StageArtifactStore,
     build_stages,
@@ -167,10 +166,9 @@ class TestStageArtifactStore:
 
     def test_empty_store_is_truthy(self, tmp_path):
         assert bool(StageArtifactStore(root=str(tmp_path / "s")))
-        assert bool(MemoryStageStore())
 
-    def test_memory_store_hands_out_fresh_copies(self):
-        store = MemoryStageStore()
+    def test_store_hands_out_fresh_copies(self, tmp_path):
+        store = StageArtifactStore(root=str(tmp_path / "stages"))
         store.put("aa", encode_outputs("demo", {"x": [1]}), {"stage": "demo"})
         first = store.get("aa").load()
         second = store.get("aa").load()
@@ -183,8 +181,7 @@ class TestPartialReexecution:
         store = StageArtifactStore(root=str(tmp_path / "stages"))
         flow = Flow(calibration=synthetic_table, stage_cache=store)
         cold = flow.run(make_mini_stream_design(depth=4096), FULL)
-        # A fresh flow instance has no warm in-process state (no
-        # incremental overlay), so every hit must come from disk.
+        # A fresh flow instance: every hit must come from the store.
         warm_flow = Flow(calibration=synthetic_table, stage_cache=store)
         warm = warm_flow.run(make_mini_stream_design(depth=4096), FULL)
         assert all(j["action"] == "run" for j in cold.journal)
@@ -238,36 +235,24 @@ class TestPartialReexecution:
         second = flow.run(make_mini_stream_design(depth=8192), FULL)
         assert all(j["action"] == "run" for j in second.journal)
 
-    def test_stage_cache_off_never_stores(self, tmp_path, synthetic_table):
-        # incremental=False too: otherwise the per-flow overlay (in-process
-        # only, independent of the stage-cache policy) serves the re-run.
-        flow = Flow(
-            calibration=synthetic_table, stage_cache=False, incremental=False
-        )
+    def test_stage_cache_off_never_stores(self, synthetic_table):
+        # stage_cache=False means no reuse at all: an identical re-run on
+        # the same flow instance runs every stage again, bit-identically.
+        flow = Flow(calibration=synthetic_table, stage_cache=False)
         first = flow.run(make_mini_stream_design(depth=4096), FULL)
         second = flow.run(make_mini_stream_design(depth=4096), FULL)
-        assert all(j["action"] == "run" for j in first.journal + second.journal)
-        assert second.fingerprint() == first.fingerprint()
-
-    def test_stage_cache_off_incremental_overlay_still_reuses(
-        self, synthetic_table
-    ):
-        # The incremental overlay is orthogonal to the artifact store: with
-        # the store off, an identical re-run on the same flow instance is
-        # served wholly from memory, bit-identically.
-        flow = Flow(
-            calibration=synthetic_table, stage_cache=False, incremental=True
-        )
-        first = flow.run(make_mini_stream_design(depth=4096), FULL)
-        second = flow.run(make_mini_stream_design(depth=4096), FULL)
-        assert all(j["action"] == "run" for j in first.journal)
-        assert all(
-            j["action"] == "skipped" and j["source"] == "overlay"
-            for j in second.journal
-            if j["cacheable"]
-        )
+        for journal in (first.journal, second.journal):
+            assert all(
+                j["action"] == "run" and j["source"] is None for j in journal
+            )
         assert second.fingerprint() == first.fingerprint()
         assert second.result_digest() == first.result_digest()
+
+    def test_stage_cache_rejects_unknown_policy(self, synthetic_table):
+        with pytest.raises(ReproError, match="stage_cache"):
+            Flow(calibration=synthetic_table, stage_cache="off").run(
+                make_mini_stream_design(depth=2048), FULL
+            )
 
 
 class TestCompareSharing:
@@ -310,15 +295,6 @@ class TestCompareSharing:
         assert c_opt.fingerprint() == p_opt.fingerprint()
         counters = tracer.aggregate_metrics().counters
         assert counters["pipeline.stages_skipped"].value > 0
-
-    def test_compare_shares_frontend_without_disk(self, synthetic_table):
-        """The in-process overlay alone (cold private disk store) is enough
-        for the second run to reuse the shared front-end."""
-        flow = Flow(calibration=synthetic_table, stage_cache=True)
-        with obs.activate(obs.Tracer()):
-            orig, opt = flow.compare(make_mini_stream_design(depth=2048))
-        by_stage = {j["stage"]: j for j in opt.journal}
-        assert by_stage["pragmas"]["action"] == "skipped"
 
 
 class TestCalibrationMemo:

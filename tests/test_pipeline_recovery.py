@@ -34,10 +34,7 @@ def _actions(result):
 
 def _scratch(synthetic_table, config, **flow_kwargs):
     """The store-off reference run."""
-    flow = Flow(
-        calibration=synthetic_table, stage_cache=False, incremental=False,
-        **flow_kwargs,
-    )
+    flow = Flow(calibration=synthetic_table, stage_cache=False, **flow_kwargs)
     return flow.run(build_design("matmul"), config)
 
 
