@@ -17,7 +17,6 @@ Public API tour:
 """
 
 from repro import obs
-from repro.autotune import AutoTuneResult, auto_optimize
 from repro.flow import Flow, FlowResult
 from repro.opt import (
     BASELINE,
@@ -54,8 +53,6 @@ __version__ = "1.0.0"
 __all__ = [
     "obs",
     "Flow",
-    "auto_optimize",
-    "AutoTuneResult",
     "FlowResult",
     "OptimizationConfig",
     "BASELINE",

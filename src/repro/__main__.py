@@ -21,13 +21,12 @@ Commands:
   sequential reference, every IR pass for metamorphic equivalence, and
   the stage cache for digest determinism; failures are shrunk to minimal
   reproducers in ``tests/fuzz_corpus/`` (exit 1 on any divergence);
-* ``tune <design>``                — auto-apply techniques until converged
-  (``autotune`` is an alias);
 * ``dse <design> [--budget N]``    — seeded population search over
   transform plans × optimization configs × clock targets
   (``--backend inline|engine|service|cluster``, ``--json`` for the full
   report; see :mod:`repro.dse`);
-* ``diagnose <design>``            — broadcast classification + advice;
+* ``diagnose <design>``            — broadcast classification, advice and
+  the §4 fix chain (one technique turned on per step, best config last);
 * ``diemap <design>``              — ASCII die map + worst broadcast net;
 * ``table1 | table2 | table3``     — reproduce a table (``--jobs N``);
 * ``fig9 | fig15 | fig16 | fig17 | fig19`` — reproduce a figure (``--jobs N``);
@@ -75,11 +74,16 @@ import sys
 import time
 
 from repro import Flow, obs
-from repro.analysis import classify_design, diagnose, format_critical_path
+from repro.analysis import (
+    classify_design,
+    diagnose,
+    fix_chain,
+    format_critical_path,
+)
 from repro.designs import build_design, design_names
 from repro.engine import Engine, FlowFailure, FlowJob
 from repro.errors import ReproError
-from repro.opt import BASELINE, CONFIG_LABELS
+from repro.opt import CONFIG_LABELS
 from repro.pipeline import StageArtifactStore
 from repro.service.client import DEFAULT_HOST, DEFAULT_PORT
 
@@ -426,24 +430,18 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    design = _build_design(args.design)
-    print(classify_design(design).summary())
-    result = _flow_for(args).run(design, BASELINE)
-    print()
-    print(format_critical_path(result.timing))
-    print()
-    for line in diagnose(result.timing):
-        print(" *", line)
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    from repro.autotune import auto_optimize
-
     design = _build_design(args.design, include_extra=True)
-    result = auto_optimize(design, flow=_flow_for(args))
-    print(result.log())
-    print(result.best.summary())
+    print(classify_design(design).summary())
+    chain = fix_chain(design, flow=_flow_for(args))
+    baseline = chain.steps[0].timing
+    print()
+    print(format_critical_path(baseline))
+    print()
+    for line in diagnose(baseline):
+        print(" *", line)
+    print()
+    print(chain.log())
+    print(chain.best.summary())
     return 0
 
 
@@ -991,20 +989,12 @@ def main(argv=None) -> int:
     p_fuzz.add_argument("--json", action="store_true")
     p_fuzz.set_defaults(fn=_cmd_fuzz)
 
-    p_diag = sub.add_parser("diagnose", help="broadcast classification + advice")
-    p_diag.add_argument("design", choices=design_names())
+    p_diag = sub.add_parser(
+        "diagnose", help="broadcast classification, advice and the §4 fix chain"
+    )
+    p_diag.add_argument("design", choices=design_names(include_extra=True))
     _add_flow_options(p_diag, jobs=False)
     p_diag.set_defaults(fn=_cmd_diagnose)
-
-    for alias in ("tune", "autotune"):
-        p_tune = sub.add_parser(
-            alias,
-            help="auto-apply the paper's techniques (greedy §4 policy)"
-            + ("" if alias == "tune" else "; alias of tune"),
-        )
-        p_tune.add_argument("design", choices=design_names(include_extra=True))
-        _add_flow_options(p_tune, jobs=False)
-        p_tune.set_defaults(fn=_cmd_tune)
 
     p_dse = sub.add_parser(
         "dse",

@@ -7,7 +7,13 @@ from repro.analysis.broadcast import (
     classify_netlist,
 )
 from repro.analysis.compare import OptimizationDelta, compare_runs, format_delta
-from repro.analysis.diagnose import diagnose, format_critical_path
+from repro.analysis.diagnose import (
+    FixChain,
+    diagnose,
+    fix_chain,
+    format_critical_path,
+    next_fix,
+)
 from repro.analysis.netstats import NetlistCensus, census, format_census
 
 __all__ = [
@@ -16,6 +22,9 @@ __all__ = [
     "classify_design",
     "classify_netlist",
     "diagnose",
+    "fix_chain",
+    "next_fix",
+    "FixChain",
     "format_critical_path",
     "census",
     "format_census",

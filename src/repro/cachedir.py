@@ -1,4 +1,4 @@
-"""Atomic writes and mtime-LRU eviction shared by the on-disk caches.
+"""Atomic writes, mtime-LRU eviction and the file lock of the on-disk caches.
 
 Every file the caches write (stage and result entries, calibration
 tables, trace documents and spools, quarantine records) goes through
@@ -14,6 +14,9 @@ metadata only: one ``os.listdir`` counts the entries, and only a directory
 over its bound is stat'ed, so a write costs the same however full the store
 is.  Entries count by file name alone, so a corrupt sidecar or a payload
 left without one still counts and is evicted in its turn.
+
+The calibration cache and the result store serialize their writers with
+:func:`file_lock`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+try:  # POSIX advisory locks; without fcntl, file_lock is a no-op
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None  # type: ignore[assignment]
 
 #: Payload + sidecar entries (``<digest>.pkl`` + ``<digest>.json``).  The
 #: sidecar is written last and touched on every hit, so it carries recency;
@@ -46,6 +55,28 @@ def atomic_write(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+@contextmanager
+def file_lock(lock_path: str) -> Iterator[bool]:
+    """Hold an exclusive ``flock`` on ``lock_path`` for the ``with`` body.
+
+    Yields True while locked.  Without ``fcntl`` it yields False, creates
+    no lock file and serializes nothing; callers decide whether to warn.
+    ``flock`` is per open-file-description, so each acquisition opens its
+    own handle: usable from any process or thread, but not re-entrant
+    within one thread (a nested acquisition deadlocks).
+    """
+    if fcntl is None:
+        yield False
+        return
+    os.makedirs(os.path.dirname(os.path.abspath(lock_path)), exist_ok=True)
+    with open(lock_path, "ab") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        try:
+            yield True
+        finally:
+            fcntl.flock(handle, fcntl.LOCK_UN)
 
 
 def _keys(names: Iterable[str], suffixes: Sequence[str]) -> Set[str]:

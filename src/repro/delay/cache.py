@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro import hashing
-from repro.cachedir import atomic_write
+from repro.cachedir import atomic_write, file_lock
 from repro.delay.calibrated import CalibrationTable
 from repro.delay.calibration import build_default_calibration
 from repro.errors import ReproError
@@ -46,11 +46,6 @@ FORMAT_VERSION = 1
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-try:  # POSIX advisory locks; on platforms without fcntl the lock is a no-op
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 #: Whether the lockless-fallback warning has fired yet (once per process).
 _LOCKLESS_WARNED = False
@@ -224,18 +219,10 @@ def calibration_lock(path: str) -> Iterator[None]:
     platforms without ``fcntl`` the lock degrades to a no-op (the atomic
     rename in :func:`save_calibration` still keeps readers consistent).
     """
-    if fcntl is None:
-        _warn_lockless_once()
+    with file_lock(path + ".lock") as locked:
+        if not locked:
+            _warn_lockless_once()
         yield
-        return
-    lock_path = path + ".lock"
-    os.makedirs(os.path.dirname(os.path.abspath(lock_path)), exist_ok=True)
-    with open(lock_path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
 
 
 def get_or_build_calibration(

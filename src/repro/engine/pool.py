@@ -57,15 +57,14 @@ PICKLE_RECURSION_LIMIT = 50_000
 def ensure_pickle_depth() -> None:
     """Raise the recursion limit so deep FlowResult graphs (de)serialize.
 
-    Used by both pool workers here and the flow service's result store,
-    which pickles the same object graphs to disk.
+    Called by the pool (its workers and the parent's result handler), by
+    the stage store's payload codec (:mod:`repro.pipeline.store`) and by
+    the service's compile workers (:mod:`repro.service.worker`) before
+    they run a flow.  The service's result store writes JSON records, so
+    it needs no headroom.
     """
     if sys.getrecursionlimit() < PICKLE_RECURSION_LIMIT:
         sys.setrecursionlimit(PICKLE_RECURSION_LIMIT)
-
-
-#: Backwards-compatible private alias (pre-service name).
-_ensure_pickle_depth = ensure_pickle_depth
 
 
 def _pool_context():
@@ -83,7 +82,7 @@ _WORKER_FLOW: Optional[Flow] = None
 def _init_worker(flow: Flow, journal_path: Optional[str] = None) -> None:
     global _WORKER_FLOW
     _WORKER_FLOW = flow
-    _ensure_pickle_depth()  # results are pickled on the worker side
+    ensure_pickle_depth()  # results are pickled on the worker side
     if journal_path:
         # Re-activate the parent's event journal under this worker's pid,
         # so stage cache hit/miss and calibration-build events emitted

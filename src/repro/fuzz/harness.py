@@ -264,15 +264,21 @@ def check_cache(
     store: Optional[StageArtifactStore] = None,
     calibration=None,
 ) -> List[Divergence]:
-    """Cold, warm and cache-disabled compiles must agree bit-for-bit."""
+    """Cold, warm and cache-disabled compiles must agree bit-for-bit.
+
+    Without a ``store`` the check uses a private temporary one and removes
+    it afterwards.
+    """
+    if store is None:
+        root = tempfile.mkdtemp(prefix="repro-fuzz-stages-")
+        try:
+            return check_cache(spec, StageArtifactStore(root=root), calibration)
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
     calibration = calibration or synthetic_calibration()
     config = CONFIG_LABELS.get(spec.config)
     if config is None:
         raise SpecError(f"{spec.name}: unknown config label {spec.config!r}")
-    if store is None:
-        store = StageArtifactStore(
-            root=tempfile.mkdtemp(prefix="repro-fuzz-stages-")
-        )
     cached_flow = Flow(
         clock_mhz=spec.clock_mhz,
         seed=2020,
@@ -435,40 +441,46 @@ def run_campaign(
     checks = tuple(checks)
     report = CampaignReport(seed=seed, requested=count, checks=checks)
     calibration = calibration or synthetic_calibration()
-    store = (
-        StageArtifactStore(root=tempfile.mkdtemp(prefix="repro-fuzz-stages-"))
-        if "cache" in checks
-        else None
-    )
+    root = None
+    store = None
+    if "cache" in checks:
+        root = tempfile.mkdtemp(prefix="repro-fuzz-stages-")
+        store = StageArtifactStore(root=root)
     started = time.perf_counter()
-    for index in range(count):
-        if budget_s is not None and time.perf_counter() - started > budget_s:
-            report.budget_exhausted = True
-            say(f"budget of {budget_s:.0f}s exhausted after {index} programs")
-            break
-        spec = generate_spec(seed, index)
-        found = run_checks(spec, checks=checks, store=store, calibration=calibration)
-        report.programs += 1
-        for divergence in found:
-            say(f"DIVERGENCE {divergence.summary()}")
-            if shrink_failures:
-                target = divergence.check
+    try:
+        for index in range(count):
+            if budget_s is not None and time.perf_counter() - started > budget_s:
+                report.budget_exhausted = True
+                say(f"budget of {budget_s:.0f}s exhausted after {index} programs")
+                break
+            spec = generate_spec(seed, index)
+            found = run_checks(
+                spec, checks=checks, store=store, calibration=calibration
+            )
+            report.programs += 1
+            for divergence in found:
+                say(f"DIVERGENCE {divergence.summary()}")
+                if shrink_failures:
+                    target = divergence.check
 
-                def still_fails(candidate: ProgramSpec, _target=target) -> bool:
-                    return any(
-                        d.check == _target
-                        for d in run_checks(
-                            candidate,
-                            checks=checks,
-                            store=store,
-                            calibration=calibration,
+                    def still_fails(candidate: ProgramSpec, _target=target) -> bool:
+                        return any(
+                            d.check == _target
+                            for d in run_checks(
+                                candidate,
+                                checks=checks,
+                                store=store,
+                                calibration=calibration,
+                            )
                         )
-                    )
 
-                divergence.shrunk = shrink(spec, still_fails)
-            if corpus_dir is not None:
-                divergence.corpus_path = _write_corpus_entry(corpus_dir, divergence)
-                say(f"  reproducer: {divergence.corpus_path}")
-            report.divergences.append(divergence)
+                    divergence.shrunk = shrink(spec, still_fails)
+                if corpus_dir is not None:
+                    divergence.corpus_path = _write_corpus_entry(corpus_dir, divergence)
+                    say(f"  reproducer: {divergence.corpus_path}")
+                report.divergences.append(divergence)
+    finally:
+        if root is not None:
+            shutil.rmtree(root, ignore_errors=True)
     report.elapsed_s = time.perf_counter() - started
     return report

@@ -52,12 +52,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX: degrade to unserialized writes
-    fcntl = None  # type: ignore[assignment]
-
-from repro.cachedir import SIDECAR_SUFFIXES, atomic_write, evict_lru, read_sidecars
+from repro.cachedir import (
+    SIDECAR_SUFFIXES,
+    atomic_write,
+    evict_lru,
+    file_lock,
+    read_sidecars,
+)
 from repro.delay.cache import default_cache_dir
 from repro.errors import ReproError
 from repro.flow import FlowResult, fingerprint_digest
@@ -277,26 +278,15 @@ class ResultStore:
     def _exclusive(self) -> Iterator[None]:
         """Cross-process writer/evictor mutual exclusion.
 
-        ``flock`` is per open-file-description, so a fresh handle per
-        acquisition keeps this usable from any process or thread; the
-        lock file itself is never an entry (no ``.json``/``.pkl`` suffix).
-        Callers must not nest acquisitions (same-thread re-acquisition on
-        a second handle would deadlock) — ``put``/``put_bytes`` therefore
-        call :func:`~repro.cachedir.evict_lru` directly, not :meth:`evict`.
+        A :func:`~repro.cachedir.file_lock` on ``<root>/.lock``; the lock
+        file itself is never an entry (no ``.json``/``.pkl`` suffix).
+        Callers must not nest acquisitions (the lock is not re-entrant) —
+        ``put``/``put_bytes`` therefore call
+        :func:`~repro.cachedir.evict_lru` directly, not :meth:`evict`.
         """
         os.makedirs(self.root, exist_ok=True)
-        if fcntl is None:
+        with file_lock(os.path.join(self.root, ".lock")):
             yield
-            return
-        handle = open(os.path.join(self.root, ".lock"), "ab")
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-            finally:
-                handle.close()
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, f"{digest}.json")

@@ -6,12 +6,13 @@ import warnings
 
 import pytest
 
+from repro import cachedir
 from repro.delay import cache
 
 
 @pytest.fixture()
 def _no_fcntl(monkeypatch):
-    monkeypatch.setattr(cache, "fcntl", None)
+    monkeypatch.setattr(cachedir, "fcntl", None)
     monkeypatch.setattr(cache, "_LOCKLESS_WARNED", False)
 
 
@@ -38,7 +39,7 @@ class TestLocklessFallback:
         assert caught == []
 
     def test_locked_path_untouched_when_fcntl_present(self, tmp_path):
-        if cache.fcntl is None:  # pragma: no cover - non-POSIX host
+        if cachedir.fcntl is None:  # pragma: no cover - non-POSIX host
             pytest.skip("platform has no fcntl")
         path = str(tmp_path / "cal.json")
         with warnings.catch_warnings(record=True) as caught:

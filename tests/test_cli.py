@@ -53,6 +53,20 @@ class TestCli:
         assert "broadcast" in out
         assert "Critical path" in out
 
+    def test_diagnose_runs_fix_chain_on_extra_design(self, capsys):
+        # vec_stream is an extra design, and its best config is the
+        # baseline: §4.1 costs it Fmax and no later step wins it back.
+        assert main(["diagnose", "vec_stream"]) == 0
+        out = capsys.readouterr().out
+        assert "step 3:" in out
+        assert out.strip().splitlines()[-1].startswith("vec_stream [orig]")
+
+    @pytest.mark.parametrize("command", ["tune", "autotune"])
+    def test_tune_is_an_unknown_command(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "genome"])
+        assert excinfo.value.code == 2
+
     def test_run_verbose_prints_span_tree(self, capsys):
         assert main(["run", "vector_arith", "--config", "orig", "--verbose"]) == 0
         out = capsys.readouterr().out

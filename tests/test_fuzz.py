@@ -11,13 +11,14 @@ from __future__ import annotations
 import glob
 import json
 import os
+import tempfile
 
 import pytest
 
 import repro.ir.passes as passes
 from repro.__main__ import main
 from repro.fuzz import build_program, generate_spec, run_checks, shrink
-from repro.fuzz.harness import CHECK_GROUPS, run_campaign
+from repro.fuzz.harness import CHECK_GROUPS, check_cache, run_campaign
 from repro.fuzz.reference import run_reference
 from repro.fuzz.spec import OpSpec, ProgramSpec, SpecError
 from repro.ir.ops import Opcode
@@ -149,6 +150,13 @@ class TestCampaign:
         )
         assert report.budget_exhausted
         assert report.programs < 10_000
+
+    def test_temporary_stage_stores_are_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_campaign(seed=2020, count=2, checks=("cache",))
+        assert report.ok and report.programs == 2
+        assert check_cache(generate_spec(2020, 0)) == []
+        assert list(tmp_path.glob("repro-fuzz-*")) == []
 
     def test_divergence_written_to_corpus(self, tmp_path, monkeypatch):
         monkeypatch.setattr(passes, "_cse_key", _buggy_cse_key)
