@@ -63,7 +63,7 @@ def _measure():
 def test_profile_finds_no_superlinear_stage(bench_extras, record):
     reports = _measure()
 
-    document = obs.profile_reports(reports, top=TOP_K, repeat_reduce="min")
+    document = obs.profile_reports(reports, top=TOP_K)
     document["design"] = DESIGN
     document["param"] = PARAM
     bench_extras["profile"] = document

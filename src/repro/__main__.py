@@ -327,9 +327,7 @@ def _cmd_profile(args) -> int:
         if args.fail_on_slope is not None
         else obs.SUPERLINEAR_SLOPE
     )
-    document = obs.profile_reports(
-        reports, top=args.top, slope_threshold=threshold, repeat_reduce="min"
-    )
+    document = obs.profile_reports(reports, top=args.top, slope_threshold=threshold)
     document["design"] = args.design
     document["param"] = param
     document["config"] = args.config

@@ -182,10 +182,10 @@ class ServiceBackend(Backend):
         return outcomes
 
 
-class ClusterBackend(Backend):
+class ClusterBackend(ServiceBackend):
     """Evaluate points through the cluster router (digest-sharded fleet).
 
-    ``router`` is anything with the router submit signature: an in-process
+    ``client`` is anything with the router submit signature: an in-process
     :class:`~repro.cluster.router.ClusterRouter`, or a
     :class:`~repro.service.client.ServiceClient` pointed at a
     :class:`~repro.cluster.server.RouterServer` (the router's HTTP
@@ -193,30 +193,6 @@ class ClusterBackend(Backend):
     """
 
     name = "cluster"
-
-    def __init__(self, router) -> None:
-        self.router = router
-
-    def evaluate(self, design, params, seed, batch):
-        from repro.service.client import ServiceError
-
-        outcomes: List[PointOutcome] = []
-        for point in batch:
-            try:
-                record = self.router.submit(
-                    design,
-                    config=point.config.to_json(),
-                    params=dict(params),
-                    seed=seed,
-                    clock_mhz=point.clock_mhz,
-                    plan=point.plan_spec(),
-                    wait=True,
-                )
-            except ServiceError as exc:
-                outcomes.append(PointOutcome(point=point, error=str(exc)))
-                continue
-            outcomes.append(_outcome_from_record(point, record))
-        return outcomes
 
 
 def make_backend(

@@ -251,10 +251,10 @@ class MetricsRegistry:
         }
 
 
-#: The process-wide registry: long-lived components (the service daemon,
-#: the HTTP server) record fleet-level metrics here so one ``/metrics``
-#: exposition can cover the whole process regardless of which tracer was
-#: ambient when the metric was written.
+#: The process-wide registry: the cluster components (router, membership,
+#: peer fetch) record fleet-level metrics here regardless of which tracer
+#: was ambient, and every daemon's ``/metrics`` renders it next to that
+#: daemon's own registry.
 _GLOBAL_REGISTRY = MetricsRegistry()
 
 

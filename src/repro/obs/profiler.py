@@ -92,15 +92,8 @@ class PathStats:
     self_ms: float = 0.0
     total_ms: float = 0.0
     calls: int = 0
-    #: ``factor -> summed self_ms at that factor`` (sweep mode only).
+    #: ``factor -> fastest self_ms at that factor`` (sweep mode only).
     by_factor: Dict[float, float] = field(default_factory=dict)
-
-    def record(self, self_ms: float, total_ms: float, factor: Optional[float]) -> None:
-        self.self_ms += self_ms
-        self.total_ms += total_ms
-        self.calls += 1
-        if factor is not None:
-            self.by_factor[factor] = self.by_factor.get(factor, 0.0) + self_ms
 
 
 def fit_power_law(
@@ -152,66 +145,45 @@ def _report_path_totals(
     return totals
 
 
-def _collect(
-    report: Dict[str, Any],
-    stats: Dict[str, PathStats],
-    factor: Optional[float],
-) -> None:
-    for path, (self_ms, total_ms, calls) in _report_path_totals(report).items():
-        entry = stats.setdefault(path, PathStats(path))
-        entry.self_ms += self_ms
-        entry.total_ms += total_ms
-        entry.calls += calls
-        if factor is not None:
-            entry.by_factor[factor] = entry.by_factor.get(factor, 0.0) + self_ms
-
-
 def profile_reports(
     reports: Iterable[Tuple[Optional[float], Dict[str, Any]]],
     top: int = 10,
     slope_threshold: float = SUPERLINEAR_SLOPE,
-    repeat_reduce: str = "sum",
 ) -> Dict[str, Any]:
     """Profile a set of ``(broadcast_factor, run_report)`` pairs.
 
     ``broadcast_factor`` may be ``None`` for a plain (non-sweep) profile;
     scaling slopes are fitted only across pairs with a factor.  Returns the
-    ``repro-profile/1`` document: top-k hot paths by summed self time, each
-    with calls, self/total milliseconds, share of all self time, and — in
-    sweep mode — the fitted exponent and a super-linear flag.
+    ``repro-profile/1`` document: top-k hot paths by self time, each with
+    calls, self/total milliseconds, share of all self time, and — in sweep
+    mode — the fitted exponent and a super-linear flag.
 
-    ``repeat_reduce`` governs how several reports *at the same factor*
-    combine into that factor's data point: ``"sum"`` (legacy — one report
-    per factor) adds them; ``"min"`` keeps, per path, the fastest reading
-    — the right estimator when the same measurement is repeated N times,
-    since scheduler and collector pauses only ever add time.  With
-    ``"min"``, each path's headline self time is the sum of its per-factor
-    minima (best-case time, coherent with the fitted points).
+    Several reports at the same factor are repeats of one measurement:
+    each path keeps its fastest reading there, since scheduler and
+    collector pauses only ever add time.  A path's headline self time is
+    its unfactored self time plus the sum of its per-factor minima
+    (best-case time, coherent with the fitted points).
     """
-    if repeat_reduce not in ("sum", "min"):
-        raise ValueError(f"unknown repeat_reduce {repeat_reduce!r}")
     stats: Dict[str, PathStats] = {}
     factors: List[float] = []
     for factor, report in reports:
         if factor is not None:
             factors.append(float(factor))
-        if repeat_reduce == "min" and factor is not None:
-            for path, (self_ms, total_ms, calls) in _report_path_totals(
-                report
-            ).items():
-                entry = stats.setdefault(path, PathStats(path))
-                entry.total_ms += total_ms
-                entry.calls += calls
-                prev = entry.by_factor.get(float(factor))
-                entry.by_factor[float(factor)] = (
-                    self_ms if prev is None else min(prev, self_ms)
-                )
-        else:
-            _collect(report, stats, None if factor is None else float(factor))
-    if repeat_reduce == "min":
-        for entry in stats.values():
-            if entry.by_factor:
-                entry.self_ms = sum(entry.by_factor.values())
+        for path, (self_ms, total_ms, calls) in _report_path_totals(
+            report
+        ).items():
+            entry = stats.setdefault(path, PathStats(path))
+            entry.total_ms += total_ms
+            entry.calls += calls
+            if factor is None:
+                entry.self_ms += self_ms
+                continue
+            prev = entry.by_factor.get(float(factor))
+            entry.by_factor[float(factor)] = (
+                self_ms if prev is None else min(prev, self_ms)
+            )
+    for entry in stats.values():
+        entry.self_ms += sum(entry.by_factor.values())
     grand_self = sum(entry.self_ms for entry in stats.values()) or 1.0
     ranked = sorted(stats.values(), key=lambda e: e.self_ms, reverse=True)
     hotspots: List[Dict[str, Any]] = []

@@ -23,10 +23,13 @@
   under ``$REPRO_CACHE_DIR/quarantine/``, as is a job that exhausts its
   retries.
 
-Observability: the service owns a :class:`~repro.obs.tracer.Tracer`.  Each
-job contributes a ``service.job`` span (queue wait, attempts, outcome) and
-the worker's own flow spans are grafted in with their PID lane, so a
-daemon trace reads exactly like an engine run's.  Gauges/counters:
+Observability: one sink per kind of telemetry.  Each job carries its own
+``service.job`` span (queue wait, attempts, outcome), served in the job
+record and in the request's trace document next to the worker spans that
+every attempt leaves in its trace spool.  Counters, gauges and histograms
+go to the service's own :class:`~repro.obs.metrics.MetricsRegistry`
+(``registry``), which ``/status``, :meth:`FlowService.counter` and
+``/metrics`` all read.  Gauges/counters:
 ``service.queue_depth``, ``service.submitted``, ``service.compiles``,
 ``service.result_hits``, ``service.coalesced``, ``service.retries``,
 ``service.crashes``, ``service.timeouts``, ``service.quarantined``,
@@ -56,7 +59,6 @@ from repro import obs
 from repro.cachedir import atomic_write
 from repro.delay.cache import default_cache_dir
 from repro.designs import design_names
-from repro.engine.merge import graft_trace
 from repro.errors import ReproError
 from repro.obs.context import TraceContext, new_span_id, new_trace_id
 from repro.obs.journal import EventJournal
@@ -114,8 +116,8 @@ class Job:
     #: here) and the daemon span's own id — the parent of worker spans.
     trace_id: Optional[str] = None
     span_id: Optional[str] = None
-    #: Span snapshots of every worker attempt (partial ones from the trace
-    #: spool when an attempt was killed mid-flow).
+    #: Span snapshots of every worker attempt, read from its trace spool
+    #: (tagged ``partial`` when the attempt did not return ok).
     worker_spans: List[Dict[str, Any]] = field(default_factory=list)
     #: Per-stage pipeline journal from the winning attempt; after a
     #: crash-retry it shows the resumed prefix as ``skipped`` entries.
@@ -179,7 +181,6 @@ class FlowService:
         job_timeout_s: Default per-job wall-clock budget; a worker alive
             past it is killed and the attempt counted as a timeout.
         quarantine_dir: Where poison-job records land.
-        tracer: Observability sink (a private one is created by default).
         entry: Worker process target — overridable so tests can wrap
             :func:`~repro.service.worker.worker_entry` with fault hooks.
     """
@@ -194,7 +195,6 @@ class FlowService:
         backoff_cap_s: float = 5.0,
         job_timeout_s: float = 600.0,
         quarantine_dir: Optional[str] = None,
-        tracer: Optional[obs.Tracer] = None,
         entry: Optional[Callable] = None,
         journal: Optional[EventJournal] = None,
         trace_store: Optional[TraceStore] = None,
@@ -216,10 +216,9 @@ class FlowService:
         self.quarantine_dir = quarantine_dir or os.path.join(
             default_cache_dir(), "quarantine"
         )
-        self.tracer = tracer or obs.Tracer()
-        #: Process-wide registry mirrored by every service counter/gauge/
-        #: histogram write — the substrate of ``GET /metrics``.
-        self.registry = obs.global_registry()
+        #: This daemon's counters, gauges and histograms — the one metrics
+        #: sink that ``/status``, :meth:`counter` and ``GET /metrics`` read.
+        self.registry = obs.MetricsRegistry()
         self.journal = journal or EventJournal(
             os.path.join(default_cache_dir(), "journal", "events.jsonl"),
             source="daemon",
@@ -252,16 +251,17 @@ class FlowService:
             pass
 
     def _count(self, name: str, amount: float = 1) -> None:
-        self.tracer.add(name, amount)
         self.registry.add(name, amount)
 
     def _gauge(self, name: str, value: float) -> None:
-        self.tracer.set_gauge(name, value)
         self.registry.set_gauge(name, value)
 
     def _observe(self, name: str, value: float) -> None:
-        self.tracer.observe(name, value)
         self.registry.observe(name, value)
+
+    def _now(self) -> float:
+        """Seconds since the daemon started: the clock of job spans."""
+        return time.perf_counter() - self._created_mono
 
     async def start(self) -> None:
         """Spawn the dispatcher tasks (idempotent)."""
@@ -368,8 +368,9 @@ class FlowService:
             job.summary = dict(stored.summary)
             job.started_s = job.finished_s = time.time()
             job.started_mono = job.finished_mono = time.perf_counter()
+            # No trace document: the hit's span is in its job record, and
+            # the digest's document stays the compile that made the result.
             self._finish_span(job)
-            self._store_trace(job)
             job.done.set()
             self._count("service.result_hits")
             self._emit(
@@ -426,7 +427,7 @@ class FlowService:
     # ------------------------------------------------------------------
     def snapshot(self, jobs_limit: int = 50) -> Dict[str, Any]:
         """The ``/status`` document: queue, metrics, store, recent jobs."""
-        records = [job.record() for job in self._jobs.values()]
+        recent = list(self._jobs.values())[-jobs_limit:]
         return {
             "schema": "repro-service-status/1",
             "node_id": self.node_id,
@@ -438,8 +439,8 @@ class FlowService:
             "workers": self.workers,
             "inflight": len(self._inflight),
             "uptime_s": self.uptime_s(),
-            "jobs": records[-jobs_limit:],
-            "metrics": self.tracer.aggregate_metrics().to_dict(),
+            "jobs": [job.record() for job in recent],
+            "metrics": self.registry.to_dict(),
             "store": {"root": self.store.root, "entries": len(self.store)},
             "quarantine_dir": self.quarantine_dir,
             "journal": str(self.journal.path),
@@ -447,8 +448,8 @@ class FlowService:
         }
 
     def counter(self, name: str) -> float:
-        """Convenience for tests/CI: one aggregated counter value."""
-        return self.tracer.aggregate_metrics().counter(name)
+        """Convenience for tests/CI: one of this daemon's counters."""
+        return self.registry.counter(name)
 
     def health(self) -> Dict[str, Any]:
         """The ``/health`` document: a cheap per-node vitals record the
@@ -497,7 +498,7 @@ class FlowService:
         # parent of whatever the worker attempts produce.
         job.trace_id = trace.trace_id if trace is not None else new_trace_id()
         job.span_id = new_span_id()
-        span = obs.Span(
+        job.span = obs.Span(
             name="service.job",
             attrs={
                 "job_id": job.id,
@@ -508,12 +509,10 @@ class FlowService:
                 "trace_id": job.trace_id,
                 "span_id": job.span_id,
             },
-            start_s=self.tracer._now(),
+            start_s=self._now(),
         )
         if trace is not None and trace.parent_span_id:
-            span.attrs["parent_span_id"] = trace.parent_span_id
-        self.tracer.roots.append(span)
-        job.span = span
+            job.span.attrs["parent_span_id"] = trace.parent_span_id
         self._jobs[job.id] = job
         return job
 
@@ -569,11 +568,6 @@ class FlowService:
             kind, payload, exitcode = await self._run_attempt(job)
 
             if kind == "ok":
-                tracer = payload.pop("tracer", None)
-                if tracer is not None:
-                    for root in tracer.roots:
-                        job.worker_spans.append(obs.snapshot_span(root))
-                    graft_trace(self.tracer, tracer, worker=payload.get("pid"))
                 job.served_from = "compile"
                 job.result_digest = payload.get("result_digest")
                 job.summary = dict(payload.get("summary") or {})
@@ -715,27 +709,24 @@ class FlowService:
             outcome=kind,
             trace_id=job.trace_id,
         )
-        if kind == "ok":
-            discard_spool(spool)
-        else:
-            # The attempt died (or raised) before delivering its tracer:
-            # salvage whatever the spool thread managed to write, so the
-            # merged trace shows how far this attempt got.
-            self._salvage_spool(job, spool)
+        self._read_spool(job, spool, partial=kind != "ok")
         return kind, payload if payload is not None else {}, exitcode
 
-    def _salvage_spool(self, job: Job, spool: str) -> None:
+    def _read_spool(self, job: Job, spool: str, partial: bool) -> None:
+        """Bring one attempt's spans home from its spool: the worker's final
+        write after a success, or the last generation the spool thread
+        managed before a crash, kill or clean failure (``partial``)."""
         document = read_spool(spool)
         discard_spool(spool)
         if not document:
             return
         meta = document.get("meta") or {}
-        salvaged = obs.Tracer()
         for snapshot in document.get("spans") or ():
             span = obs.rebuild_span(snapshot)
             if span is None:
                 continue
-            span.set("partial", True)
+            if partial:
+                span.set("partial", True)
             span.set("attempt", meta.get("attempt") or job.attempts)
             if job.trace_id:
                 span.set("trace_id", job.trace_id)
@@ -743,12 +734,7 @@ class FlowService:
                 span.set("parent_span_id", job.span_id)
             if meta.get("pid"):
                 span.set("pid", meta["pid"])
-            if span.end_s is None:
-                span.end_s = span.start_s
             job.worker_spans.append(obs.snapshot_span(span))
-            salvaged.roots.append(span)
-        if salvaged.roots:
-            graft_trace(self.tracer, salvaged, worker=meta.get("pid"))
 
     def _finish(self, job: Job, state: str) -> None:
         job.state = state
@@ -774,10 +760,10 @@ class FlowService:
         job.done.set()
 
     def _store_trace(self, job: Job) -> None:
-        """Write the merged per-request trace document: the daemon's job
-        span plus every worker attempt's span snapshots (partial ones from
-        the spool included).  Keyed by request digest — what ``repro trace
-        --request`` and ``GET /trace/<digest>`` read."""
+        """Write the merged per-request trace document of a job that ran in
+        workers: the daemon's job span plus every attempt's spooled spans.
+        Keyed by request digest — what ``repro trace --request`` and
+        ``GET /trace/<digest>`` read."""
         self.traces.put(
             job.digest,
             {
@@ -796,7 +782,7 @@ class FlowService:
     def _finish_span(self, job: Job) -> None:
         if job.span is None or job.span.end_s is not None:
             return
-        job.span.end_s = self.tracer._now()
+        job.span.end_s = self._now()
         job.span.set("state", job.state)
         job.span.set("attempts", job.attempts)
         job.span.set("coalesced", job.coalesced)

@@ -15,9 +15,10 @@ Routes:
   downloads and checks the owner's record instead of recompiling.
   Strictly local lookup;
 * ``GET  /status``       — the daemon snapshot (queue, metrics, store);
-* ``GET  /metrics``      — Prometheus-style text exposition of the
-  process-wide metrics registry (queue depth per lane, coalesce/hit
-  counters, compile-latency summaries, worker restarts);
+* ``GET  /metrics``      — Prometheus-style text exposition of this
+  daemon's metrics registry (queue depth per lane, coalesce/hit
+  counters, compile-latency summaries, worker restarts) plus the
+  process-wide cluster counters;
 * ``GET  /trace/<digest>`` — the merged per-request trace document
   (daemon span + every worker attempt, partial spans included);
 * ``GET  /jobs/<id>``    — one job record (404 for unknown ids);
@@ -51,8 +52,10 @@ from repro.obs.exposition import (
     CONTENT_TYPE as EXPOSITION_CONTENT_TYPE,
     Family,
     Sample,
+    registry_families,
     render_exposition,
 )
+from repro.obs.metrics import global_registry
 from repro.service.daemon import FlowService, QueueFullError, UnknownJobError
 from repro.service.request import FlowRequest
 
@@ -209,8 +212,9 @@ class ServiceServer:
         }
 
     def metrics_text(self) -> str:
-        """The ``/metrics`` exposition document: the process-wide registry
-        plus live labeled lane depths and the daemon uptime."""
+        """The ``/metrics`` exposition document: this daemon's registry,
+        the process-wide one (the cluster counters), live labeled lane
+        depths and the daemon uptime."""
         lane_family = Family(
             name="repro_service_lane_queue_depth",
             kind="gauge",
@@ -230,7 +234,10 @@ class ServiceServer:
             samples=[Sample("repro_service_uptime_s", self.service.uptime_s())],
         )
         return render_exposition(
-            self.service.registry, extra_families=[lane_family, uptime]
+            self.service.registry,
+            extra_families=[
+                *registry_families(global_registry()), lane_family, uptime
+            ],
         )
 
     async def _submit(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:

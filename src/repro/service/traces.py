@@ -5,15 +5,17 @@ Two pieces of the cross-process trace story live here:
 * :class:`TraceStore` — a tiny content-addressed store of **merged trace
   documents** (``repro-trace/1``), one per request digest: the daemon's
   ``service.job`` span plus the span forest of *every* worker attempt,
-  partial ones included.  ``repro trace --request <digest>`` and
+  partial ones included.  A store hit writes none, so the document stays
+  the compile's.  ``repro trace --request <digest>`` and
   ``GET /trace/<digest>`` read from it.
-* the **trace spool** — how spans survive a SIGKILL'd worker.  The worker
-  runs a background thread that periodically snapshots its live tracer to
-  a spool file (atomic temp+rename, so the daemon never reads a torn
-  file).  When an attempt dies without delivering its payload, the daemon
-  rebuilds the spooled snapshots via :func:`repro.obs.snapshot.rebuild_span`
-  and merges them as ``partial`` spans — the trace shows exactly how far
-  the dead attempt got.
+* the **trace spool** — the one way a worker attempt's spans come home.
+  The worker runs a background thread that periodically snapshots its
+  live tracer to a spool file (atomic temp+rename, so the daemon never
+  reads a torn file), and writes it once more when the flow succeeds.
+  After *every* attempt the daemon rebuilds the spooled snapshots via
+  :func:`repro.obs.snapshot.rebuild_span` and tags them with the trace
+  identity; an attempt that died or raised leaves its last generation,
+  tagged ``partial`` — the trace shows exactly how far it got.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def discard_spool(path: str) -> None:
 
 
 class TraceSpool:
-    """Background thread spooling a live tracer for crash forensics."""
+    """Background thread spooling a live tracer: the attempt's span record
+    after a success, its forensics after a crash."""
 
     def __init__(
         self,
@@ -127,7 +130,7 @@ class TraceSpool:
         meta: Optional[Dict[str, Any]] = None,
         interval_s: float = SPOOL_INTERVAL_S,
     ) -> None:
-        self.tracer = tracer
+        self._tracer = tracer
         self.path = path
         self.meta = dict(meta or {})
         self.interval_s = interval_s
@@ -156,7 +159,7 @@ class TraceSpool:
         those never heal on retry.
         """
         try:
-            write_spool(self.path, self.tracer, self.meta)
+            write_spool(self.path, self._tracer, self.meta)
         except (TypeError, AttributeError):
             raise
         except Exception as exc:

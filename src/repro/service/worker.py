@@ -4,8 +4,11 @@ One job = one worker process.  The daemon spawns :func:`worker_entry` with
 the request's wire encoding, the store root, and one end of a pipe; the
 worker compiles, writes the result's record into the content-addressed
 store *itself* (atomically), and sends back only a small completion
-payload — the request digest, the result digest, a summary, and its
-private tracer.
+payload — the request digest, the result digest, a summary and the
+pipeline journal.  Its spans travel by file, not by pipe: the trace spool
+(:class:`~repro.service.traces.TraceSpool`) rewrites them while the flow
+runs and once more when it ends, and the daemon reads the spool after
+every attempt, however it ended.
 
 Writing the store entry on the worker side makes retries idempotent: if
 the daemon kills a hung worker after the store write but before the pipe
@@ -28,9 +31,9 @@ the prefix as ``skipped`` — and reproduces the original result digest.
 Telemetry rides in on the reserved ``_telemetry`` key of the wire dict
 (reserved precisely because :meth:`FlowRequest.from_dict` ignores it, so
 it can never perturb the request digest): the trace context minted by the
-client, the spool path for SIGKILL-surviving span snapshots, and the
-daemon's event-journal path.  All of it is optional — a bare request dict
-compiles exactly as before.
+client, the attempt number, the spool path its spans travel home by, and
+the daemon's event-journal path.  All of it is optional — a bare request
+dict compiles exactly as before.
 """
 
 from __future__ import annotations
@@ -68,33 +71,20 @@ def execute_request(request: FlowRequest) -> FlowResult:
     return flow.run(design, request.config, plan=request.transform_plan())
 
 
-def _tag_roots(tracer: obs.Tracer, telemetry: Dict[str, Any]) -> None:
-    """Stamp the trace identity onto every root span the worker produced,
-    so the spans stay attributable after grafting into the daemon trace."""
-    trace = telemetry.get("trace") or {}
-    for root in tracer.roots:
-        if trace.get("trace_id"):
-            root.set("trace_id", trace["trace_id"])
-        if trace.get("parent_span_id"):
-            root.set("parent_span_id", trace["parent_span_id"])
-        if telemetry.get("attempt"):
-            root.set("attempt", telemetry["attempt"])
-        root.set("pid", os.getpid())
-
-
 def worker_entry(request_dict: Dict[str, Any], store_root: str, conn) -> None:
     """Process target: compile ``request_dict``, store the result, report.
 
     Sends exactly one message on ``conn``:
 
     * success — ``{"ok": True, "digest", "result_digest", "summary",
-      "tracer", "journal", "pid"}``;
+      "evicted", "journal", "pid"}``;
     * clean failure (the flow raised) — ``{"ok": False, "error",
       "error_type", "traceback", "pid"}``.
 
     A crash or kill sends nothing; the daemon reads that silence (plus the
-    exit code) as a crash and retries — and rebuilds this attempt's spans
-    from the trace spool the background thread kept writing.
+    exit code) as a crash and retries.  Whatever the outcome, the daemon
+    rebuilds this attempt's spans from its trace spool: the final write
+    after a success, else the last generation the spool thread wrote.
     """
     telemetry = dict(request_dict.pop(TELEMETRY_KEY, None) or {})
     spool: Optional[TraceSpool] = None
@@ -119,7 +109,6 @@ def worker_entry(request_dict: Dict[str, Any], store_root: str, conn) -> None:
         with obs.activate(tracer):
             result = execute_request(request)
         entry = ResultStore(store_root).put(request, result)
-        _tag_roots(tracer, telemetry)
         if spool is not None:
             spool.stop(final_write=True)
             spool = None
@@ -130,7 +119,6 @@ def worker_entry(request_dict: Dict[str, Any], store_root: str, conn) -> None:
                 "result_digest": entry.result_digest,
                 "summary": entry.summary,
                 "evicted": entry.evicted,
-                "tracer": tracer,
                 "journal": result.journal,
                 "pid": os.getpid(),
             }

@@ -151,7 +151,7 @@ class TestProfileReports:
                 reports.append(
                     (float(f), _report([_stage("placement", 10.0 * f + noise)]))
                 )
-        doc = profile_reports(reports, repeat_reduce="min")
+        doc = profile_reports(reports)
         by_path = {spot["path"]: spot for spot in doc["hotspots"]}
         spot = by_path["placement"]
         assert spot["by_factor"] == {"2": 20.0, "4": 40.0, "8": 80.0}
@@ -179,10 +179,6 @@ class TestProfileReports:
         ]
         doc = profile_reports(big, slope_threshold=0.5)
         assert doc["hotspots"][0]["superlinear"] is True
-
-    def test_repeat_reduce_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            profile_reports([], repeat_reduce="median")
 
     def test_cache_replayed_children_do_not_count(self):
         # A replayed child carries zero live duration_ms (its original cost

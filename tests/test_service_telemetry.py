@@ -162,6 +162,20 @@ class TestTracePropagation:
         survivor = by_attempt[2][0]
         assert survivor["attrs"].get("partial") is not True
 
+    def test_store_hit_keeps_the_compile_trace(self, tmp_path):
+        """A store hit writes no trace document: /trace/<digest> stays the
+        compile that made the result, worker spans and all."""
+        service = _service(tmp_path, workers=1)
+        with serve_in_thread(service) as server:
+            client = ServiceClient(port=server.port)
+            record = client.submit("vector_arith", config="orig", wait=True)
+            again = client.submit("vector_arith", config="orig", wait=True)
+            assert again["submitted_as"] == "store"
+            document = client.get_trace(record["digest"])
+        assert document["served_from"] == "compile"
+        assert document["job_id"] == record["id"]
+        assert len(document["worker_spans"]) >= 1
+
     def test_coalesced_submissions_record_their_trace_ids(self, tmp_path):
         gate = tmp_path / "gate"
         gate.write_text("hold\n")
@@ -226,6 +240,24 @@ class TestMetricsExposition:
             assert after.value(f"{name}_count") >= 1
             assert after.types[name] == "summary"
 
+    def test_two_daemons_in_one_process_count_apart(self, tmp_path):
+        """Each daemon's counter(), /status and /metrics read its own
+        registry, even when two share a process (thread-mode cluster)."""
+        first = _service(tmp_path / "a", workers=1)
+        second = _service(tmp_path / "b", workers=1)
+        with serve_in_thread(first) as server_a, serve_in_thread(second) as server_b:
+            client_a = ServiceClient(port=server_a.port)
+            client_b = ServiceClient(port=server_b.port)
+            client_a.submit("vector_arith", config="orig", wait=True)
+            for service, client, compiles in (
+                (first, client_a, 1), (second, client_b, 0)
+            ):
+                assert service.counter("service.compiles") == compiles
+                counters = client.status()["metrics"]["counters"]
+                assert counters.get("service.compiles", 0) == compiles
+                doc = parse_exposition(client.metrics())
+                assert (doc.value("repro_service_compiles_total") or 0) == compiles
+
     def test_status_snapshot_mirrors_metrics(self, tmp_path):
         service = _service(tmp_path, workers=1)
         with serve_in_thread(service) as server:
@@ -235,8 +267,8 @@ class TestMetricsExposition:
             snapshot = client.status()
             doc = parse_exposition(client.metrics())
         counters = snapshot["metrics"]["counters"]
-        # /metrics is process-wide (it survives daemon restarts within one
-        # process), so compare the delta against this daemon's snapshot.
+        # /metrics renders this daemon's own registry, so the scrape delta
+        # over one compile and the daemon's snapshot must both read 1.
         delta = doc.value("repro_service_compiles_total") - (
             before.value("repro_service_compiles_total") or 0
         )
