@@ -8,7 +8,8 @@ Commands:
   Chrome ``trace_event`` file, ``--verbose`` for the span tree,
   ``--jobs N`` to fan multiple configs over worker processes);
 * ``trace <design> [--out t.json]`` — run the flow and export the trace;
-  ``trace --request <digest>`` instead loads the merged per-request trace
+  ``trace --request <digest>`` (or a unique digest prefix, such as the
+  12 characters ``submit`` prints) instead loads the merged per-request trace
   a service compile left behind (daemon span + every worker attempt,
   partial spans of killed attempts included);
 * ``profile <design> --sweep A,B,C`` — run a broadcast-factor sweep and
@@ -233,7 +234,16 @@ def _cmd_trace_request(args) -> int:
     """Render the merged per-request trace a service compile stored."""
     from repro.service import TraceStore, rebuild_trace
 
-    document = TraceStore().get(args.request)
+    store = TraceStore()
+    matches = store.resolve(args.request)
+    if len(matches) > 1:
+        print(
+            f"repro: error: request digest prefix {args.request!r} is "
+            f"ambiguous; it matches: {', '.join(matches)}",
+            file=sys.stderr,
+        )
+        return 1
+    document = store.get(matches[0]) if matches else None
     if document is None:
         print(
             f"repro: error: no stored trace for request digest "
@@ -241,9 +251,10 @@ def _cmd_trace_request(args) -> int:
             file=sys.stderr,
         )
         return 1
+    digest = matches[0]
     attempts = document.get("attempts") or 0
     print(
-        f"trace {document.get('trace_id')} — request {args.request[:12]} "
+        f"trace {document.get('trace_id')} — request {digest[:12]} "
         f"job={document.get('job_id')} state={document.get('state')} "
         f"attempts={attempts} served_from={document.get('served_from') or '-'}"
     )
@@ -886,7 +897,8 @@ def main(argv=None) -> int:
     p_trace.add_argument(
         "--request", default=None, metavar="DIGEST",
         help="show the merged per-request trace stored by the service "
-        "for this request digest instead of running the flow",
+        "for this request digest (or a unique prefix of it, such as the "
+        "12 characters `repro submit` prints) instead of running the flow",
     )
     p_trace.add_argument("--config", default="orig,full")
     p_trace.add_argument(

@@ -24,7 +24,16 @@ stage that re-ran but reproduced its stored outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Literal,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro import hashing, obs
 from repro.delay.cache import resolve_calibration
@@ -40,6 +49,7 @@ from repro.pipeline import (
     StageArtifactStore,
     build_stages,
     stage_cache_enabled,
+    table_digest,
 )
 from repro.rtl.generator import GenResult
 from repro.rtl.resources import ResourceReport
@@ -60,9 +70,26 @@ def fingerprint_digest(fingerprint: Dict[str, object]) -> str:
     return hashing.content_digest({"schema": "repro-flow-result/1", **fingerprint})
 
 
-@dataclass
+#: :class:`FlowResult` fields that resolve from the run's stage outputs on
+#: first read (see :attr:`FlowResult.outputs`).
+LAZY_FIELDS = ("schedules", "gen", "placement", "sync_report")
+
+
+@dataclass(eq=False)
 class FlowResult:
-    """Everything one flow run produced."""
+    """Everything one flow run produced.
+
+    The scalar fields and the small reports (``fmax_mhz``, ``timing``,
+    ``resources``, ``utilization``, the netlist's ``cells``/``nets`` counts,
+    ``depth_by_loop``, ``ii_by_loop``, ``schedule_edits``) are plain values,
+    so :meth:`fingerprint`, :meth:`result_digest` and :meth:`summary` never
+    touch the heavy ones.  ``schedules``, ``gen``, ``placement`` and
+    ``sync_report`` are read-only properties over :attr:`outputs`: on a run
+    whose stages ran they are the live objects; on a warm run they are the
+    stage store's verified payloads, unpickled on first read.  Two reads,
+    also from two threads, get the same object.  A result pickles (engine
+    workers ship them) with any still-unread payload as its bytes.
+    """
 
     design: str
     config_label: str
@@ -72,13 +99,16 @@ class FlowResult:
     timing: TimingResult
     resources: ResourceReport
     utilization: Dict[str, float]
-    schedules: Dict[Tuple[str, str], Schedule]
-    gen: GenResult
-    schedule_edits: List[str] = field(default_factory=list)
-    sync_report: Optional[SyncPruningReport] = None
-    ii_by_loop: Dict[str, int] = field(default_factory=dict)
-    #: Final placement (after replication/retiming); cells keyed by name.
-    placement: Optional[Placement] = None
+    #: Cell and net counts of the final netlist (``gen.netlist``).
+    cells: int
+    nets: int
+    #: Schedule depth per ``"kernel/loop"``.
+    depth_by_loop: Dict[str, int]
+    schedule_edits: List[str]
+    ii_by_loop: Dict[str, int]
+    #: The run's heavy outputs, keyed by :data:`LAZY_FIELDS`: live values,
+    #: or stage-store entries that unpickle on first read.
+    outputs: Mapping[str, object] = field(repr=False)
     #: Root span of this run when a tracer was active (see :mod:`repro.obs`).
     trace: Optional[obs.Span] = None
     #: Per-stage pipeline journal: stage name, input digest, whether it ran
@@ -88,8 +118,21 @@ class FlowResult:
     journal: Optional[List[Dict[str, object]]] = None
 
     @property
-    def depth_by_loop(self) -> Dict[str, int]:
-        return {f"{k}/{l}": s.depth for (k, l), s in self.schedules.items()}
+    def schedules(self) -> Dict[Tuple[str, str], Schedule]:
+        return self.outputs["schedules"]
+
+    @property
+    def gen(self) -> GenResult:
+        return self.outputs["gen"]
+
+    @property
+    def placement(self) -> Placement:
+        """Final placement (after replication/retiming); cells keyed by name."""
+        return self.outputs["placement"]
+
+    @property
+    def sync_report(self) -> Optional[SyncPruningReport]:
+        return self.outputs["sync_report"]
 
     def fingerprint(self) -> Dict[str, object]:
         """The stable, JSON-able identity of this result.
@@ -111,11 +154,11 @@ class FlowResult:
             "period_ns": self.period_ns,
             "critical_path_class": self.timing.path_class.value,
             "utilization": dict(sorted(self.utilization.items())),
-            "depth_by_loop": self.depth_by_loop,
+            "depth_by_loop": dict(self.depth_by_loop),
             "ii_by_loop": dict(self.ii_by_loop),
             "schedule_edits": list(self.schedule_edits),
-            "cells": len(self.gen.netlist.cells),
-            "nets": len(self.gen.netlist.nets),
+            "cells": self.cells,
+            "nets": self.nets,
         }
 
     def result_digest(self) -> str:
@@ -188,28 +231,32 @@ class Flow:
         self.replication = replication or ReplicationConfig()
         self.retime = retime
         self.stage_cache = stage_cache
-        #: (device, seed, smooth_passes, path) → (table, original source).
-        self._calibration_memo: Dict[Tuple, Tuple[CalibrationTable, str]] = {}
+        #: (device, seed, smooth_passes, path) → (table, original source,
+        #: table digest).
+        self._calibration_memo: Dict[Tuple, Tuple[CalibrationTable, str, str]] = {}
 
     # ------------------------------------------------------------------
-    def _resolve_calibration(self, device: str) -> Tuple[CalibrationTable, str]:
+    def _resolve_calibration(self, device: str) -> Tuple[CalibrationTable, str, str]:
         """Resolve (and instance-memoize) the calibration table.
 
-        The memo stores the *original* resolution source ("built", "disk",
-        "memory"), so observability reports the same provenance no matter
-        how many runs this flow instance serves.
+        Returns ``(table, source, digest)``.  The memo stores the
+        *original* resolution source ("built", "disk", "memory"), so
+        observability reports the same provenance no matter how many runs
+        this flow instance serves, and the table's content digest, so the
+        calibration stage hashes each resolved table once per flow.
         """
         key = (device, self.seed, self.SMOOTH_PASSES, self.calibration_path)
         hit = self._calibration_memo.get(key)
         if hit is None:
             # Looked up as a module global so tests can monkeypatch
             # ``repro.flow.resolve_calibration``.
-            hit = resolve_calibration(
+            table, source = resolve_calibration(
                 device,
                 seed=self.seed,
                 smooth_passes=self.SMOOTH_PASSES,
                 path=self.calibration_path,
             )
+            hit = (table, source, table_digest(table))
             self._calibration_memo[key] = hit
         return hit
 
@@ -277,29 +324,34 @@ class Flow:
         ) as root:
             ctx, journal = manager.execute(self, config, ctx)
             timing: TimingResult = ctx["timing"]
-            gen: GenResult = ctx["gen"]
-            resources = ResourceReport.of_netlist(gen.netlist)
+            resources: ResourceReport = ctx["resources"]
+            result = FlowResult(
+                design=design.name,
+                config_label=config.label,
+                clock_target_mhz=clock_mhz,
+                fmax_mhz=timing.fmax_mhz,
+                period_ns=timing.period_ns,
+                timing=timing,
+                resources=resources,
+                utilization=resources.utilization(design.device),
+                cells=ctx["cells"],
+                nets=ctx["nets"],
+                depth_by_loop=ctx["depth_by_loop"],
+                schedule_edits=ctx["schedule_edits"],
+                ii_by_loop=ctx["ii_by_loop"],
+                outputs=ctx.subset(LAZY_FIELDS),
+                trace=root if isinstance(root, obs.Span) else None,
+                journal=journal,
+            )
+            # Bundles unpickled inside this run (the heavy fields' loads
+            # come later, outside the span, if the caller reads them).
+            for stage in ctx.loaded:
+                tracer.add("pipeline.bundles_loaded")
+                tracer.add(f"pipeline.bundles_loaded.{stage}")
             root.set("fmax_mhz", round(timing.fmax_mhz, 3))
             root.set("critical_path_class", timing.path_class.value)
             tracer.set_gauge("flow.fmax_mhz", round(timing.fmax_mhz, 3))
-        return FlowResult(
-            design=design.name,
-            config_label=config.label,
-            clock_target_mhz=clock_mhz,
-            fmax_mhz=timing.fmax_mhz,
-            period_ns=timing.period_ns,
-            timing=timing,
-            resources=resources,
-            utilization=resources.utilization(ctx["lowered"].device),
-            schedules=ctx["schedules"],
-            gen=gen,
-            schedule_edits=ctx["schedule_edits"],
-            sync_report=ctx["sync_report"],
-            ii_by_loop=ctx["ii_by_loop"],
-            placement=ctx["placement"],
-            trace=root if isinstance(root, obs.Span) else None,
-            journal=journal,
-        )
+        return result
 
     def compare(
         self,

@@ -12,7 +12,10 @@ Four invariants, each a family of checks over one generated program:
   same stimuli, must match the untransformed one.
 * **cache** — compiling the same program cold, warm (stage-artifact store
   hit) and with caching disabled must yield identical
-  :meth:`~repro.flow.FlowResult.result_digest` values.
+  :meth:`~repro.flow.FlowResult.result_digest` values, and the warm
+  result's heavy fields, read back from the store, must hold the same
+  netlist size, schedule depths and cell positions as the other two
+  (:func:`repro.testing.heavy_outputs_view`).
 * **incremental** — recompiling at a bumped clock on a flow whose stage
   store is warm (content-digest early cutoff) must be bit-identical to
   compiling the bumped clock from scratch with the stage cache disabled.
@@ -40,7 +43,7 @@ from repro.opt import CONFIG_LABELS
 from repro.pipeline.store import StageArtifactStore
 from repro.sim.dataflow import DataflowSim
 from repro.sync.pruning import prune_synchronization
-from repro.testing import synthetic_calibration
+from repro.testing import heavy_outputs_view, synthetic_calibration
 
 from repro.fuzz.gen import generate_spec
 from repro.fuzz.reference import run_reference
@@ -296,11 +299,23 @@ def check_cache(
     off = uncached_flow.run(build_program(spec).design, config=config)
     digests = {"cold": cold.result_digest(), "warm": warm.result_digest(),
                "off": off.result_digest()}
-    if len(set(digests.values())) == 1:
-        return []
-    detail = "result digests differ: " + ", ".join(
-        f"{k}={v[:12]}" for k, v in digests.items()
+    if len(set(digests.values())) != 1:
+        detail = "result digests differ: " + ", ".join(
+            f"{k}={v[:12]}" for k, v in digests.items()
+        )
+        return [Divergence(spec.name, "cache", detail, spec)]
+    # The fingerprint counts the netlist in the timing stage; read the
+    # warm result's stored netlist, schedules and placement back too.
+    views = {"cold": heavy_outputs_view(cold), "warm": heavy_outputs_view(warm),
+             "off": heavy_outputs_view(off)}
+    differing = sorted(
+        field
+        for field in views["warm"]
+        if not views["warm"][field] == views["cold"][field] == views["off"][field]
     )
+    if not differing:
+        return []
+    detail = "heavy fields differ between cold, warm and off: " + ", ".join(differing)
     return [Divergence(spec.name, "cache", detail, spec)]
 
 

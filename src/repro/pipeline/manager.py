@@ -28,20 +28,26 @@ a re-run stage that reproduced byte-identical outputs then invalidates
 nothing downstream.  Content digests are computed and chained exactly when
 a store is set; without one nothing is looked up, so nothing is hashed.
 
-Before returning, the manager loads every output still deferred.  A read
-that an entry cannot serve — a key of a sidecar-only checkpoint whose
-successor missed (``Flow(retime=False)`` over a store a default flow
-filled), or a payload that fails to read, decompress or unpickle — makes
-the manager discard the attempt and run the stages again with that entry
-treated as a miss.  When the entry is a sidecar-only checkpoint, every
-sidecar-only entry the attempt hit is denied with it, so that case takes
-one retry.  A denied entry stays denied for the rest of the run even
-after its stage rewrote it, so the journal reports every damaged stage as
-``run``.  Once a retry has started, every hit's payload is loaded at
-lookup, and one that fails is denied and re-run inside that attempt, so
-a store whose entries are all damaged costs one retry, not one per
-damaged entry.  Entries are content-addressed, so a retry reads the same
-digests and every retry denies at least one more of them: the loop ends.
+Before returning, the manager checks every output still deferred, without
+unpickling it: the entry's sidecar must list the key, and its payload must
+read, decompress (zlib's checksum catches a torn file) and carry this
+schema's header.  The verified bytes stay with the entry, so the outputs
+survive a later eviction, and they unpickle on first read — which, for the
+heavy fields of a :class:`~repro.flow.FlowResult`, is after the run.  An
+entry that cannot serve a key — a sidecar-only checkpoint whose successor
+missed (``Flow(retime=False)`` over a store a default flow filled), or a
+payload that fails to read, decompress, carry the header or (when a stage
+reads it) unpickle — makes the manager discard the attempt and run the
+stages again with that entry treated as a miss.  When the entry is a
+sidecar-only checkpoint, every sidecar-only entry the attempt hit is
+denied with it, so that case takes one retry.  A denied entry stays
+denied for the rest of the run even after its stage rewrote it, so the
+journal reports every damaged stage as ``run``.  Once a retry has
+started, every hit's payload is verified at lookup, and one that fails is
+denied and re-run inside that attempt, so a store whose entries are all
+damaged costs one retry, not one per damaged entry.  Entries are
+content-addressed, so a retry reads the same digests and every retry
+denies at least one more of them: the loop ends.
 The retry drops the failed attempt's stage spans, so a run still reports
 one span, one journal record and one ``stage.hit``/``stage.miss`` event
 per stage; the events are emitted from the journal once the run is
@@ -56,15 +62,19 @@ retried worker picked up from its dead predecessor's checkpoints.
 
 from __future__ import annotations
 
+import threading
 import time
+import zlib
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
+from repro.errors import ReproError
 from repro.pipeline.digest import design_digest
 from repro.pipeline.stage import Stage
 from repro.pipeline.store import (
     STAGE_STORE_SCHEMA,
     StageArtifactStore,
+    decode_outputs,
     encode_outputs,
 )
 
@@ -73,73 +83,154 @@ ACTION_RUN = "run"
 ACTION_SKIPPED = "skipped"
 
 
-class _Unloadable(Exception):
+class _Unloadable(ReproError):
     """A deferred store entry could not supply a key the run read."""
 
     def __init__(self, digest: str) -> None:
-        super().__init__(digest)
+        super().__init__(f"stage-store entry {digest[:12]} cannot serve its outputs")
         self.digest = digest
 
 
-class _Loaded:
-    """A hit whose outputs were loaded at lookup (see ``_lookup``)."""
+class _Deferred:
+    """A store hit whose outputs are unpickled on first read.
 
-    __slots__ = ("digest", "meta", "_outputs")
+    :meth:`verify` reads and decompresses the payload (zlib's checksum
+    catches a torn file) and checks its header, then keeps the verified
+    bytes, so a later eviction of the entry cannot take them away.
+    :meth:`load` unpickles those bytes.  Pickling a ``_Deferred`` (a
+    :class:`~repro.flow.FlowResult` shipped from an engine worker) carries
+    the verified bytes, not the path.
+    """
 
-    def __init__(self, hit: Any, outputs: Dict[str, Any]) -> None:
+    __slots__ = ("digest", "meta", "stage", "keys", "_hit", "_data")
+
+    def __init__(self, hit: Any) -> None:
         self.digest = hit.digest
-        self.meta = hit.meta
-        self._outputs = outputs
+        #: The sidecar (span snapshot, content digests); not pickled.
+        self.meta: Dict[str, Any] = hit.meta
+        self.stage = hit.stage
+        #: The keys the bundle holds, as its sidecar lists them.
+        self.keys = frozenset(hit.outputs)
+        self._hit = hit
+        self._data: Optional[bytes] = None
+
+    def verify(self) -> None:
+        if self._data is None:
+            try:
+                self._data = self._hit.read()
+            except (OSError, zlib.error, ReproError) as exc:
+                # gone, torn (zlib's checksum), or another schema's header
+                raise _Unloadable(self.digest) from exc
+            self._hit = None
 
     def load(self) -> Dict[str, Any]:
-        return self._outputs
+        self.verify()
+        try:
+            return decode_outputs(self._data)
+        except Exception as exc:  # a pickle that no longer unpickles
+            raise _Unloadable(self.digest) from exc
+
+    def __getstate__(self) -> Tuple[str, str, frozenset, bytes]:
+        self.verify()
+        return self.digest, self.stage, self.keys, self._data
+
+    def __setstate__(self, state: Tuple[str, str, frozenset, bytes]) -> None:
+        self.digest, self.stage, self.keys, self._data = state
+        self.meta, self._hit = {}, None
+
+
+def _restore_context(
+    values: Dict[str, Any], pending: Dict[str, _Deferred]
+) -> "_LazyContext":
+    ctx = _LazyContext(values)
+    ctx._pending.update(pending)
+    return ctx
 
 
 class _LazyContext(dict):
-    """Context dict that materializes skipped-stage outputs on first read.
+    """Context dict that unpickles skipped-stage outputs on first read.
 
     A store hit used to unpickle its output bundle immediately; on a warm
     re-run where most stages skip, most of those bundles are superseded by
     a later stage's bundle before anyone reads them (three stages bundle
-    ``lowered``, four bundle ``gen``).  Deferring the unpickle to the first
-    actual read makes a fully-warm run pay only for the *final* producer of
-    each key it consumes.
+    ``lowered``, two bundle ``gen``), and most of the rest are never
+    read by the caller at all.  Deferring the unpickle to the first actual
+    read makes a fully-warm run pay only for what it reads: the
+    :class:`~repro.flow.FlowResult` of a warm run unpickles the small
+    timing and ii-analysis bundles its fingerprint needs, and keeps a
+    :meth:`subset` of this context for the heavy fields, which unpickle
+    when first read — after the run, in the caller.
 
-    ``defer`` registers a store entry as the pending producer of a set of
-    keys; any read of such a key loads the bundle once and materializes
-    every key still pending on that entry.  A later write (a stage that
-    ran, or a newer skipped producer) simply supersedes the pending entry.
-    An entry that fails to load, or whose bundle lacks the key (a
-    sidecar-only checkpoint), raises :class:`_Unloadable`.
+    ``defer`` registers a :class:`_Deferred` entry as the pending producer
+    of a set of keys; any read of such a key loads the bundle once and
+    materializes every key still pending on that entry.  A later write (a
+    stage that ran, or a newer skipped producer) simply supersedes the
+    pending entry.  An entry that fails to load, or whose sidecar does not
+    list the key (a sidecar-only checkpoint), raises :class:`_Unloadable`.
+    Reads are thread-safe: two threads reading one pending key get one
+    object.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._pending: Dict[str, Any] = {}
+        self._pending: Dict[str, _Deferred] = {}
+        self._lock = threading.Lock()
+        #: Stage names of the bundles this context unpickled, in order.
+        self.loaded: List[str] = []
 
-    def defer(self, keys: Sequence[str], entry: Any) -> None:
+    def defer(self, keys: Sequence[str], entry: _Deferred) -> None:
         for key in keys:
             super().pop(key, None)
             self._pending[key] = entry
 
     def _materialize(self, key: str) -> None:
-        entry = self._pending.get(key)
-        if entry is None:
+        if key not in self._pending:
             return
-        try:
+        with self._lock:
+            entry = self._pending.get(key)
+            if entry is None:  # another thread materialized it meanwhile
+                return
+            if key not in entry.keys:
+                raise _Unloadable(entry.digest)
             outputs = entry.load()
-        except Exception as exc:  # unreadable, truncated, foreign pickle
-            raise _Unloadable(entry.digest) from exc
-        if key not in outputs:
-            raise _Unloadable(entry.digest)
-        for name, value in outputs.items():
-            if self._pending.get(name) is entry:
-                del self._pending[name]
-                super().__setitem__(name, value)
+            if key not in outputs:
+                raise _Unloadable(entry.digest)
+            self.loaded.append(entry.stage)
+            for name, value in outputs.items():
+                if self._pending.get(name) is entry:
+                    # Bind before un-pending: a lock-free reader sees
+                    # either the pending entry or the value.
+                    super().__setitem__(name, value)
+                    del self._pending[name]
 
     def _materialize_all(self) -> None:
         for key in list(self._pending):
             self._materialize(key)
+
+    def verify_pending(self) -> None:
+        """Check, without unpickling, that every still-pending entry can
+        serve its keys: its sidecar lists them, and its payload reads,
+        decompresses and carries the right header."""
+        for key, entry in list(self._pending.items()):
+            if key not in entry.keys:
+                raise _Unloadable(entry.digest)
+            entry.verify()
+
+    def subset(self, keys: Sequence[str]) -> "_LazyContext":
+        """A new context holding only ``keys``: their values, or their
+        still-pending entries (which keep their verified bytes)."""
+        sub = _LazyContext()
+        for key in keys:
+            if key in self._pending:
+                sub._pending[key] = self._pending[key]
+            elif super().__contains__(key):
+                dict.__setitem__(sub, key, super().__getitem__(key))
+        return sub
+
+    def __reduce__(self):
+        # Ship pending entries as their verified bytes; the lock and the
+        # load log stay behind.
+        return _restore_context, (dict(super().items()), dict(self._pending))
 
     def __getitem__(self, key: str) -> Any:
         self._materialize(key)
@@ -192,21 +283,26 @@ class PassManager:
         self.stages = list(stages)
         self.store = store
 
-    def _lookup(self, digest: str, denied: Set[str]) -> Optional[Any]:
+    def _lookup(self, digest: str, denied: Set[str]) -> Optional[_Deferred]:
         if digest in denied:
             return None
         hit = self.store.get(digest)
-        if hit is not None and denied:
+        if hit is None:
+            return None
+        entry = _Deferred(hit)
+        if denied:
             # A retry has started, so damaged entries seldom come alone:
-            # load now, and each one is a miss in this attempt rather than
-            # the cause of the next.
+            # verify now, and each one is a miss in this attempt rather
+            # than the cause of the next.
             try:
-                hit = _Loaded(hit, hit.load())
-            except Exception as exc:
-                obs.emit_event("stage.unloadable", digest=digest, error=repr(exc))
+                entry.verify()
+            except _Unloadable as exc:
+                obs.emit_event(
+                    "stage.unloadable", digest=digest, error=repr(exc.__cause__)
+                )
                 denied.add(digest)
                 return None
-        return hit
+        return entry
 
     def execute(
         self, flow, config, ctx: Dict[str, Any]
@@ -215,7 +311,9 @@ class PassManager:
 
         ``ctx`` must hold the ``design`` (and any flow-level scalars stages
         parameterize on, e.g. ``clock_ns``).  The returned context holds
-        those entries plus every stage's outputs, all loaded.
+        those entries plus every stage's outputs; outputs of skipped
+        stages that nothing read yet stay deferred (verified, not yet
+        unpickled) until their first read.
         """
         tracer = obs.current_tracer()
         caching = self.store is not None
@@ -240,7 +338,7 @@ class PassManager:
         while True:
             sidecar_hits: List[str] = []
             try:
-                loaded, journal = self._attempt(
+                served, journal = self._attempt(
                     tracer, flow, config, _LazyContext(ctx), caching,
                     denied, sidecar_hits,
                 )
@@ -275,7 +373,7 @@ class PassManager:
                     cache=record["source"],
                     duration_ms=record["duration_ms"],
                 )
-        return loaded, journal
+        return served, journal
 
     def _attempt(
         self,
@@ -302,8 +400,9 @@ class PassManager:
                     if stage.sidecar_only:
                         sidecar_hits.append(digest)
                     # Defer the unpickle: a later skipped stage often
-                    # supersedes these keys before anyone reads them, in
-                    # which case this bundle is never loaded at all.
+                    # supersedes these keys before anyone reads them, and
+                    # the caller seldom reads the rest, in which case this
+                    # bundle is never loaded at all.
                     ctx.defer(stage.outputs, hit)
                     content: Dict[str, str] = dict(hit.meta.get("content") or {})
                     obs.replay_span(span, hit.meta.get("span") or {})
@@ -344,6 +443,9 @@ class PassManager:
                             {
                                 "schema": STAGE_STORE_SCHEMA,
                                 "stage": stage.name,
+                                "outputs": []
+                                if stage.sidecar_only
+                                else sorted(outputs),
                                 "span": obs.snapshot_span(span),
                                 "content": content,
                             },
@@ -364,7 +466,8 @@ class PassManager:
                     "content_keys": sorted(content),
                 }
             )
-        # Load what is still deferred now, so an entry that cannot serve
-        # it fails inside this attempt, not in the caller.
-        ctx._materialize_all()
+        # Check what is still deferred now, so an entry that cannot serve
+        # it fails inside this attempt, not in the caller; unpickling waits
+        # for the first read.
+        ctx.verify_pending()
         return ctx, journal

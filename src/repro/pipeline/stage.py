@@ -60,8 +60,8 @@ class Stage:
     #: Whether its stored entry keeps only the sidecar (empty bundle).  A
     #: property of the DAG, not a setting.  Necessary: its successor
     #: re-binds all its outputs.  Also needed: that successor seldom
-    #: misses while this stage hits, since every such run loads the empty
-    #: bundle and retries.  ``pragmas`` meets the first rule (sync-pruning
+    #: misses while this stage hits, since every such run reads a key the
+    #: entry's sidecar does not list, and retries.  ``pragmas`` meets the first rule (sync-pruning
     #: re-binds ``lowered``) but not the second: the second run of every
     #: ``Flow.compare`` hits pragmas and misses sync-pruning.
     sidecar_only: bool = False

@@ -27,6 +27,11 @@ Artifact-bundling rules (why some outputs re-bind their inputs):
 * ``placement``/``spreading`` output only ``placement`` — a
   :class:`~repro.physical.placement.Placement` is keyed by cell *name*, so
   it stays coherent against any unpickled copy of the same netlist.
+* ``ii-analysis`` re-binds ``schedule_edits`` and ``timing`` outputs the
+  netlist's resources and size, so the two small bundles carry everything
+  a result's fingerprint reads, and a warm run leaves the heavy
+  scheduling, sync-pruning and retiming bundles unpickled (see
+  :class:`~repro.flow.FlowResult`).
 
 Which bundles get pickled at all: ``placement``, ``spreading`` and
 ``replication`` are sidecar-only checkpoints (``sidecar_only = True``).
@@ -58,6 +63,7 @@ from repro.physical.timing import TimingAnalyzer
 from repro.pipeline.digest import design_digest, schedules_digest, table_digest
 from repro.pipeline.stage import Stage
 from repro.rtl.generator import GenOptions, generate_netlist
+from repro.rtl.resources import ResourceReport
 from repro.scheduling.broadcast_aware import broadcast_aware_schedule
 from repro.scheduling.chaining import ChainingScheduler
 from repro.scheduling.ii import analyze_ii
@@ -155,13 +161,23 @@ class CalibrationStage(Stage):
             return None, None
         if flow.calibration is not None:
             return flow.calibration, "injected"
-        return flow._resolve_calibration(ctx["lowered"].device)
+        return flow._resolve_calibration(ctx["design"].device)[:2]
+
+    @staticmethod
+    def _digest(flow, config, ctx) -> Optional[str]:
+        if not config.broadcast_aware:
+            return None
+        if flow.calibration is not None:
+            # ``CalibrationTable.add`` edits a table in place, so an
+            # injected one is hashed on every read.
+            return table_digest(flow.calibration)
+        # A resolved table is hashed once, when the flow memoizes it.
+        return flow._resolve_calibration(ctx["design"].device)[2]
 
     def params(self, flow, config, ctx):
-        table, _source = self._table(flow, config, ctx)
         return {
             "enabled": bool(config.broadcast_aware),
-            "table": table_digest(table) if table is not None else None,
+            "table": self._digest(flow, config, ctx),
         }
 
     def run(self, flow, config, ctx, span):
@@ -175,12 +191,7 @@ class CalibrationStage(Stage):
         return {"cal_table": table}
 
     def content_digests(self, flow, config, ctx, outputs, payload):
-        table = outputs["cal_table"]
-        return {
-            "cal_table": table_digest(table)
-            if table is not None
-            else _NO_TABLE_DIGEST
-        }
+        return {"cal_table": self._digest(flow, config, ctx) or _NO_TABLE_DIGEST}
 
 
 class SchedulingStage(Stage):
@@ -233,11 +244,17 @@ class SchedulingStage(Stage):
 
 
 class IIAnalysisStage(Stage):
-    """Initiation-interval analysis per loop."""
+    """Initiation-interval analysis per loop, plus each loop's schedule
+    depth.
+
+    It re-binds ``schedule_edits`` and outputs ``depth_by_loop``, so its
+    small bundle carries every schedule-derived field of a result's
+    fingerprint: a warm run reads neither from the scheduling bundle.
+    """
 
     name = "ii-analysis"
-    inputs = ("lowered", "schedules")
-    outputs = ("ii_by_loop",)
+    inputs = ("lowered", "schedules", "schedule_edits")
+    outputs = ("ii_by_loop", "depth_by_loop", "schedule_edits")
 
     def run(self, flow, config, ctx, span):
         lowered, schedules = ctx["lowered"], ctx["schedules"]
@@ -248,7 +265,14 @@ class IIAnalysisStage(Stage):
             for kernel, loop in lowered.all_loops()
         }
         span.set("worst_ii", max(ii_by_loop.values(), default=1))
-        return {"ii_by_loop": ii_by_loop}
+        return {
+            "ii_by_loop": ii_by_loop,
+            "depth_by_loop": {
+                f"{kernel}/{loop}": schedule.depth
+                for (kernel, loop), schedule in schedules.items()
+            },
+            "schedule_edits": ctx["schedule_edits"],
+        }
 
 
 class RtlGenStage(Stage):
@@ -368,18 +392,26 @@ class RetimingStage(Stage):
 
 
 class TimingStage(Stage):
-    """Static timing analysis → Fmax + critical-path attribution."""
+    """Static timing analysis → Fmax + critical-path attribution, plus the
+    final netlist's resources and size (what a result's fingerprint reads
+    of the netlist, so a warm run need not unpickle it)."""
 
     name = "timing"
     inputs = ("gen", "placement")
-    outputs = ("timing",)
+    outputs = ("timing", "resources", "cells", "nets")
 
     def run(self, flow, config, ctx, span):
-        timing = TimingAnalyzer(ctx["gen"].netlist, ctx["placement"]).analyze()
+        netlist = ctx["gen"].netlist
+        timing = TimingAnalyzer(netlist, ctx["placement"]).analyze()
         span.set("fmax_mhz", round(timing.fmax_mhz, 3))
         span.set("period_ns", round(timing.period_ns, 4))
         span.set("critical_path_class", timing.path_class.value)
-        return {"timing": timing}
+        return {
+            "timing": timing,
+            "resources": ResourceReport.of_netlist(netlist),
+            "cells": len(netlist.cells),
+            "nets": len(netlist.nets),
+        }
 
 
 def build_stages() -> List[Stage]:

@@ -5,28 +5,39 @@ below the whole-flow :class:`~repro.service.store.ResultStore`.  Every
 entry is the bundled outputs of one stage execution, keyed by the stage's
 input digest (see :mod:`repro.pipeline.digest`).  Two files per entry:
 
-* ``<digest>.pkl`` — the pickled output bundle, zlib-compressed (e.g.
-  scheduling stores ``{lowered, schedules, schedule_edits}`` *together*
-  so object identity between a schedule entry and the DFG operation it
-  points at survives a round trip).  A *sidecar-only checkpoint*
-  (:attr:`Stage.sidecar_only <repro.pipeline.stage.Stage.sidecar_only>`:
-  placement, spreading, replication) stores an empty bundle here;
-* ``<digest>.json`` — a compact metadata sidecar holding the stage name
-  plus the observability snapshot (span attrs, counters, raw histogram
-  samples, child spans) replayed when the stage is skipped, and the
-  content digests early cutoff chains from.
+* ``<digest>.pkl`` — the output bundle, zlib-compressed.  Decompressed,
+  it is one header line, ``<schema> <stage>\n`` (e.g.
+  ``repro-stage-store/4 scheduling``), followed by the pickled outputs
+  dict.  Scheduling stores ``{lowered, schedules, schedule_edits}``
+  *together* so object identity between a schedule entry and the DFG
+  operation it points at survives a round trip.  A *sidecar-only
+  checkpoint* (:attr:`Stage.sidecar_only
+  <repro.pipeline.stage.Stage.sidecar_only>`: placement, spreading,
+  replication) stores an empty bundle here;
+* ``<digest>.json`` — a compact metadata sidecar holding the stage name,
+  the bundle's output keys (``outputs``; empty for a sidecar-only
+  checkpoint), the observability snapshot (span attrs, counters, raw
+  histogram samples, child spans) replayed when the stage is skipped, and
+  the content digests early cutoff chains from.
+
+The header and the sidecar's key list let a reader check that an entry
+can serve a run without unpickling it: :meth:`StoredStage.read` returns
+the decompressed bytes only if zlib's checksum and the header's schema
+hold, and :func:`decode_outputs` unpickles them later, if anything reads
+the outputs at all.
 
 Writes go through :func:`repro.cachedir.atomic_write` (temp file +
 rename), payload first and sidecar last, so a visible sidecar implies a
 complete payload; eviction is mtime-LRU with ``get`` refreshing recency,
 and a missing/corrupt file never fails a run.  ``get`` reads a missing or
 corrupt sidecar as a miss; a payload that fails to read, decompress or
-unpickle only surfaces at :meth:`StoredStage.load`, and the
+carry the right header only surfaces at :meth:`StoredStage.read` (or
+:meth:`StoredStage.load`), and the
 :class:`~repro.pipeline.manager.PassManager` then re-runs the flow with
 that entry treated as a miss.  Eviction reads only names and mtimes
 (:func:`repro.cachedir.evict_lru`).  A sidecar whose ``schema`` is not
-:data:`STAGE_STORE_SCHEMA` (an entry written by an older layout, e.g. an
-uncompressed payload or dict-state nets) is a miss too.
+:data:`STAGE_STORE_SCHEMA` (an entry written by an older layout, e.g. a
+payload without a header) is a miss too.
 
 Every :meth:`StoredStage.load` unpickles a fresh object graph: downstream
 stages mutate their inputs in place, so handing out a shared live object
@@ -35,21 +46,27 @@ would let one run corrupt another's artifacts.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cachedir import SIDECAR_SUFFIXES, atomic_write, evict_lru, read_sidecars
 from repro.delay.cache import default_cache_dir
 from repro.errors import ReproError
 
 #: Version tag of the on-disk stage entry layout (``/2``: zlib payloads;
-#: ``/3``: tuple-state :class:`~repro.rtl.netlist.Net` pickles).
-STAGE_STORE_SCHEMA = "repro-stage-store/3"
+#: ``/3``: tuple-state :class:`~repro.rtl.netlist.Net` pickles; ``/4``: a
+#: payload header line and the sidecar's ``outputs`` key list).
+STAGE_STORE_SCHEMA = "repro-stage-store/4"
+
+#: What every decompressed payload starts with; the stage name and a
+#: newline follow it.
+_HEADER = STAGE_STORE_SCHEMA.encode() + b" "
 
 #: zlib level of on-disk payloads: level 1 shrinks stage bundles ~4.6x
 #: at a fraction of the cost of pickling them.
@@ -77,30 +94,41 @@ def default_stage_dir() -> str:
 
 
 def encode_outputs(stage: str, outputs: Dict[str, Any]) -> bytes:
-    """Pickle one stage's output bundle (deep DFG graphs need headroom)."""
+    """One stage's uncompressed payload: the header line, then the pickled
+    output bundle (deep DFG graphs need headroom)."""
     # Imported lazily: engine.pool imports repro.flow, which imports this
     # package — a module-level import here would close the cycle.
     from repro.engine.pool import ensure_pickle_depth
 
     ensure_pickle_depth()
-    return pickle.dumps(
-        {"schema": STAGE_STORE_SCHEMA, "stage": stage, "outputs": outputs},
-        protocol=4,
-    )
+    # One buffer: the pickler streams its frames after the header, so the
+    # bundle (megabytes on large designs) is never copied to prepend it.
+    buffer = io.BytesIO()
+    buffer.write(_HEADER + stage.encode() + b"\n")
+    pickle.dump(outputs, buffer, protocol=4)
+    return buffer.getvalue()
+
+
+def _body_offset(data: bytes) -> int:
+    """Where the pickle starts in a payload; raises unless the header
+    carries :data:`STAGE_STORE_SCHEMA`."""
+    end = data.find(b"\n", 0, 256)
+    if not data.startswith(_HEADER) or end < 0:
+        header = bytes(data[: end if end >= 0 else 40])
+        raise ReproError(
+            f"stage-store payload has header {header!r}, "
+            f"expected {STAGE_STORE_SCHEMA!r}"
+        )
+    return end + 1
 
 
 def decode_outputs(data: bytes) -> Dict[str, Any]:
-    """Unpickle a bundle written by :func:`encode_outputs`."""
+    """Unpickle a payload written by :func:`encode_outputs`."""
     from repro.engine.pool import ensure_pickle_depth
 
+    offset = _body_offset(data)
     ensure_pickle_depth()
-    payload = pickle.loads(data)
-    if payload.get("schema") != STAGE_STORE_SCHEMA:
-        raise ReproError(
-            f"stage-store entry has schema {payload.get('schema')!r}, "
-            f"expected {STAGE_STORE_SCHEMA!r}"
-        )
-    return payload["outputs"]
+    return pickle.loads(memoryview(data)[offset:])
 
 
 @dataclass
@@ -115,10 +143,26 @@ class StoredStage:
     def stage(self) -> str:
         return self.meta.get("stage", "")
 
-    def load(self) -> Dict[str, Any]:
-        """Unpickle the output bundle — always a fresh object graph."""
+    @property
+    def outputs(self) -> Tuple[str, ...]:
+        """The bundle's output keys, from the sidecar (empty for a
+        sidecar-only checkpoint)."""
+        return tuple(self.meta.get("outputs") or ())
+
+    def read(self) -> bytes:
+        """The decompressed payload, checked but not unpickled.
+
+        Raises if the file is gone, fails zlib's checksum (a torn or
+        truncated file) or carries another schema's header.
+        """
         with open(self.path, "rb") as handle:
-            return decode_outputs(zlib.decompress(handle.read()))
+            data = zlib.decompress(handle.read())
+        _body_offset(data)
+        return data
+
+    def load(self) -> Dict[str, Any]:
+        """Read and unpickle the output bundle — always a fresh object graph."""
+        return decode_outputs(self.read())
 
 
 class StageArtifactStore:
@@ -188,9 +232,11 @@ class StageArtifactStore:
     def put(self, digest: str, payload: bytes, meta: Dict[str, Any]) -> int:
         """Store one entry atomically, then evict down to ``max_entries``.
 
-        ``payload`` comes pre-pickled (see :func:`encode_outputs`); it is
+        ``payload`` comes pre-encoded (see :func:`encode_outputs`); it is
         compressed here, and ``meta["payload_bytes"]`` records its
-        uncompressed length.  Returns the number of entries evicted.
+        uncompressed length.  ``meta["outputs"]`` should list the bundle's
+        keys: a reader serves only the keys listed there.  Returns the
+        number of entries evicted.
         """
         os.makedirs(self.root, exist_ok=True)
         meta = dict(meta)

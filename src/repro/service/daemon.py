@@ -38,6 +38,10 @@ go to the service's own :class:`~repro.obs.metrics.MetricsRegistry`
 journal — after a crash-retry, ``stages_skipped`` counts the checkpointed
 prefix the retry resumed from (see :mod:`repro.pipeline`).
 
+Memory: the daemon keeps at most :data:`JOB_RETENTION` finished jobs;
+beyond it the oldest finished ones are forgotten (``/jobs/<id>`` then
+answers 404 for them), and unfinished jobs are never dropped.
+
 Threading contract: all public methods must be called on the event loop
 that ran :meth:`FlowService.start` (the HTTP server does; tests drive it
 inside ``asyncio.run``).
@@ -77,6 +81,11 @@ PRIORITIES = ("high", "normal", "low")
 
 #: Version tag of quarantine records.
 QUARANTINE_SCHEMA = "repro-quarantine/1"
+
+#: Finished jobs the daemon keeps for ``/jobs/<id>`` and ``/status``; past
+#: it, the oldest finished jobs are dropped (unfinished ones never are).
+#: At least the 50 jobs ``/status`` lists.
+JOB_RETENTION = 256
 
 #: Poll interval of the worker-process supervisor (s).
 SUPERVISE_TICK_S = 0.02
@@ -514,7 +523,22 @@ class FlowService:
         if trace is not None and trace.parent_span_id:
             job.span.attrs["parent_span_id"] = trace.parent_span_id
         self._jobs[job.id] = job
+        self._drop_old_jobs()
         return job
+
+    def _drop_old_jobs(self) -> None:
+        """Forget the oldest finished jobs beyond :data:`JOB_RETENTION`."""
+        excess = len(self._jobs) - JOB_RETENTION
+        if excess <= 0:
+            return
+        old = []
+        for job in self._jobs.values():  # oldest first
+            if len(old) == excess:
+                break
+            if job.finished:
+                old.append(job.id)
+        for job_id in old:
+            del self._jobs[job_id]
 
     def _queued_count(self) -> int:
         return sum(len(lane) for lane in self._lanes.values())

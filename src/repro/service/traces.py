@@ -61,6 +61,20 @@ class TraceStore:
         except OSError:
             pass  # traces are forensics, never a reason to fail the job
 
+    def resolve(self, prefix: str) -> List[str]:
+        """Stored request digests starting with ``prefix``, sorted.
+        ``repro submit`` prints 12-character digest prefixes, and this is
+        how ``repro trace --request`` accepts them."""
+        try:
+            names = os.listdir(self.root)
+        except OSError:
+            return []
+        return sorted(
+            name[: -len(".json")]
+            for name in names
+            if name.endswith(".json") and name.startswith(prefix)
+        )
+
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
         try:
             with open(self._path(digest)) as handle:

@@ -8,6 +8,8 @@ class.  Shipping them as API keeps user test suites from re-deriving them.
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from repro.delay.calibrated import CalibrationTable
 from repro.ir.builder import DFGBuilder
 from repro.ir.program import Buffer, Design, Fifo, Kernel, Loop
@@ -36,6 +38,28 @@ def synthetic_calibration() -> CalibrationTable:
         for factor, delay in points:
             table.add(key, factor, delay)
     return table
+
+
+def heavy_outputs_view(result: Any) -> Dict[str, Any]:
+    """What a :class:`~repro.flow.FlowResult`'s heavy fields hold, read back.
+
+    Reads (and so, on a warm run, unpickles) ``gen``, ``schedules`` and
+    ``placement``: the netlist's cell and net counts, each loop's schedule
+    depth and every cell's position.  Two runs of one request must give
+    equal views whether their stages ran or were served from the store;
+    the fingerprint's own counts come from the timing stage, so this is
+    the check that the stored netlist, schedules and placement match too.
+    """
+    netlist = result.gen.netlist
+    return {
+        "cells": len(netlist.cells),
+        "nets": len(netlist.nets),
+        "depth_by_loop": {
+            f"{kernel}/{loop}": schedule.depth
+            for (kernel, loop), schedule in result.schedules.items()
+        },
+        "positions": dict(result.placement.pos),
+    }
 
 
 def stream_to_buffer_design(depth: int = 8192, unroll: int = 1) -> Design:

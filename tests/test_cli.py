@@ -283,3 +283,44 @@ class TestCliService:
             assert main(["status", record["id"], "--port", port]) == 0
             fetched = json.loads(capsys.readouterr().out)
             assert fetched["digest"] == record["digest"]
+
+
+class TestCliTraceRequest:
+    """``repro trace --request`` takes a digest or a unique prefix of one,
+    such as the 12 characters ``repro submit`` prints."""
+
+    FIRST = "abc123" + "0" * 58
+    SECOND = "abc124" + "1" * 58
+
+    @pytest.fixture()
+    def traces(self, tmp_path, monkeypatch):
+        from repro.service import TraceStore
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = TraceStore()
+        for index, digest in enumerate((self.FIRST, self.SECOND)):
+            store.put(digest, {
+                "schema": "repro-trace/1", "trace_id": f"trace-{index}",
+                "job_id": f"job-{index}", "state": "done", "attempts": 1,
+                "served_from": "compile", "worker_spans": [],
+            })
+        return store
+
+    def test_unique_prefix_resolves(self, traces, capsys):
+        assert main(["trace", "--request", self.FIRST[:12]]) == 0
+        out = capsys.readouterr().out
+        assert "trace trace-0" in out and f"request {self.FIRST[:12]}" in out
+
+    def test_full_digest_still_works(self, traces, capsys):
+        assert main(["trace", "--request", self.SECOND]) == 0
+        assert "trace trace-1" in capsys.readouterr().out
+
+    def test_ambiguous_prefix_exits_1_with_the_matches(self, traces, capsys):
+        assert main(["trace", "--request", "abc12"]) == 1
+        err = capsys.readouterr().err
+        assert "ambiguous" in err
+        assert self.FIRST in err and self.SECOND in err
+
+    def test_unknown_prefix_exits_1(self, traces, capsys):
+        assert main(["trace", "--request", "fff"]) == 1
+        assert "no stored trace" in capsys.readouterr().err

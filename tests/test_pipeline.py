@@ -331,6 +331,54 @@ class TestCalibrationMemo:
         ]
         assert sources == ["built", "built"]
 
+    @staticmethod
+    def _count_table_digests(monkeypatch):
+        calls = []
+        real = table_digest
+
+        def counting(table):
+            calls.append(table)
+            return real(table)
+
+        monkeypatch.setattr("repro.flow.table_digest", counting)
+        monkeypatch.setattr(stages_mod, "table_digest", counting)
+        return calls
+
+    def test_resolved_table_is_hashed_once_per_flow(
+        self, monkeypatch, synthetic_table, tmp_path
+    ):
+        monkeypatch.setattr(
+            "repro.flow.resolve_calibration",
+            lambda device, seed=2020, smooth_passes=1, path=None: (
+                synthetic_table,
+                "disk",
+            ),
+        )
+        calls = self._count_table_digests(monkeypatch)
+        flow = Flow(stage_cache=StageArtifactStore(root=str(tmp_path / "s")))
+        for depth in (2048, 4096, 2048):
+            flow.run(make_mini_stream_design(depth=depth), FULL)
+        assert len(calls) == 1
+
+    def test_injected_table_is_hashed_every_run(
+        self, monkeypatch, synthetic_table, tmp_path
+    ):
+        """``CalibrationTable.add`` edits a table in place, so an injected
+        one is hashed per run and an edit reaches the digest."""
+        calls = self._count_table_digests(monkeypatch)
+        table = make_synthetic_table()
+        flow = Flow(
+            calibration=table,
+            stage_cache=StageArtifactStore(root=str(tmp_path / "s")),
+        )
+        flow.run(make_mini_stream_design(depth=2048), FULL)
+        assert len(calls) == 2  # params and content digest
+        table.add("add_i32", 2048, 9.0)
+        second = flow.run(make_mini_stream_design(depth=2048), FULL)
+        assert len(calls) == 4
+        actions = {e["stage"]: e["action"] for e in second.journal}
+        assert actions["scheduling"] == "run"  # the edited table's digest
+
 
 class TestSweepSharing:
     def test_inline_sweep_skips_shared_stages(self, tmp_path, synthetic_table):

@@ -2,7 +2,9 @@
 
 For every registered design × {BASELINE, FULL}, three runs — cold private
 store, warm same store, cache disabled — must produce bit-identical
-fingerprints and result digests.  Each run rebuilds the design from the
+fingerprints and result digests, and the warm run's heavy fields, read
+back from the store, must hold the same netlist, schedule depths and
+placement as the other two.  Each run rebuilds the design from the
 registry, so the equality also covers digest stability across rebuilds
 (a spurious design-digest mismatch would surface as a warm journal that
 re-ran stages).
@@ -16,6 +18,7 @@ from repro.designs import build_design, design_names
 from repro.flow import Flow
 from repro.opt import BASELINE, FULL
 from repro.pipeline import StageArtifactStore
+from repro.testing import heavy_outputs_view
 
 CONFIGS = {"orig": BASELINE, "full": FULL}
 
@@ -39,6 +42,16 @@ def test_cold_warm_disabled_are_bit_identical(
     assert warm.fingerprint() == cold.fingerprint()
     assert plain.fingerprint() == cold.fingerprint()
     assert warm.result_digest() == cold.result_digest() == plain.result_digest()
+
+    # The fingerprint's netlist counts come from the timing stage: read the
+    # stored netlist, schedules and placement back and compare them too.
+    warm_view = heavy_outputs_view(warm)
+    assert (warm_view["cells"], warm_view["nets"]) == (
+        warm.fingerprint()["cells"], warm.fingerprint()["nets"]
+    )
+    assert warm_view["depth_by_loop"] == warm.fingerprint()["depth_by_loop"]
+    assert warm_view == heavy_outputs_view(cold)
+    assert warm_view == heavy_outputs_view(plain)
 
     # The warm run must actually have been served from the store …
     for entry in warm.journal:

@@ -228,3 +228,23 @@ def test_foreign_payload_reads_as_a_miss(store, synthetic_table):
         "calibration", "timing",
     ]
 
+
+
+def test_foreign_payload_of_a_heavy_stage_reads_as_a_miss(store, synthetic_table):
+    """A heavy bundle the warm run never unpickles is still checked: a
+    payload with another schema's header, under a sidecar that lists the
+    right keys, re-runs that stage inside the same ``Flow.run``."""
+    cold = _fill(store, synthetic_table, FULL)
+    digest = {e["stage"]: e["digest"] for e in cold.journal}["retiming"]
+    store.put(
+        digest,
+        pickle.dumps({"schema": "other/1"}),
+        {"stage": "retiming", "outputs": ["gen", "placement"]},
+    )
+    rerun = _fill(store, synthetic_table, FULL)
+    assert rerun.result_digest() == cold.result_digest()
+    # Retiming re-runs; the sidecar-only checkpoints before it re-run too,
+    # because retiming reads their outputs.
+    assert [s for s, a in _actions(rerun).items() if a == "run"] == [
+        "calibration", "placement", "spreading", "replication", "retiming",
+    ]

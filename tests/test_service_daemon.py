@@ -17,7 +17,12 @@ import time
 
 import pytest
 
-from repro.service.daemon import FlowService, QueueFullError, UnknownJobError
+from repro.service.daemon import (
+    JOB_RETENTION,
+    FlowService,
+    QueueFullError,
+    UnknownJobError,
+)
 from repro.service.request import FlowRequest
 from repro.service.store import ResultStore
 from repro.service.worker import execute_request, worker_entry
@@ -334,6 +339,52 @@ class TestQueueSemantics:
             assert len(snap["jobs"]) == 1
             assert snap["metrics"]["counters"]["service.submitted"] == 1
             assert snap["metrics"]["gauges"]["service.queue_depth"] == 1
+            await service.stop()
+
+        _run(scenario())
+
+
+class TestJobRetention:
+    def test_finished_jobs_are_bounded(self, tmp_path):
+        """One compile then 3000 store hits: the daemon keeps at most
+        ``JOB_RETENTION`` jobs, and recent ones still answer."""
+        assert JOB_RETENTION >= 50  # the /status window
+
+        async def scenario():
+            service = _service(tmp_path, workers=1)
+            await service.start()
+            try:
+                request = FlowRequest.make("vector_arith", config="orig")
+                compiled, _ = service.submit(request)
+                await service.wait(compiled, timeout=180)
+                assert compiled.state == "done"
+                hits = [service.submit(request) for _ in range(3000)]
+                assert {how for _, how in hits} == {"store"}
+                assert len(service._jobs) <= JOB_RETENTION
+                assert service.counter("service.result_hits") == 3000
+                last = hits[-1][0]
+                assert service.job(last.id) is last
+                status = service.snapshot()
+                assert len(status["jobs"]) == 50
+                assert status["jobs"][-1]["id"] == last.id
+                with pytest.raises(UnknownJobError):
+                    service.job(compiled.id)  # the oldest finished job
+            finally:
+                await service.stop()
+
+        _run(scenario())
+
+    def test_unfinished_jobs_are_never_dropped(self, tmp_path):
+        async def scenario():
+            # No dispatchers: every queued job stays unfinished.
+            service = _service(tmp_path, workers=1, queue_limit=JOB_RETENTION + 10)
+            queued = [
+                service.submit(FlowRequest.make("matmul", config="orig", seed=seed))[0]
+                for seed in range(JOB_RETENTION + 10)
+            ]
+            assert all(not job.finished for job in queued)
+            assert len(service._jobs) == JOB_RETENTION + 10
+            assert service.job(queued[0].id) is queued[0]
             await service.stop()
 
         _run(scenario())
