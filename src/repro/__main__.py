@@ -24,7 +24,7 @@ Commands:
   reproducers in ``tests/fuzz_corpus/`` (exit 1 on any divergence);
 * ``dse <design> [--budget N]``    — seeded population search over
   transform plans × optimization configs × clock targets
-  (``--backend inline|engine|service|cluster``, ``--json`` for the full
+  (``--backend inline|engine|service``, ``--json`` for the full
   report; see :mod:`repro.dse`);
 * ``diagnose <design>``            — broadcast classification, advice and
   the §4 fix chain (one technique turned on per step, best config last);
@@ -43,13 +43,7 @@ Commands:
   unreachable after the client's backoff retries);
 * ``status [job-id]``              — query a daemon: human-readable table
   of queue depths, hit rates and uptime (``--json`` for the raw
-  snapshot document); ``status --cluster`` points at a cluster router
-  and renders one aggregated per-node table instead;
-* ``cluster serve --nodes ID=HOST:PORT,...`` — run the consistent-hash
-  router over a fleet of daemons (hot-digest caching, replica failover,
-  fleet-wide ``/metrics`` — see :mod:`repro.cluster`);
-* ``cluster submit / cluster status`` — submit through the router / the
-  aggregated cluster table.
+  snapshot document).
 
 Batch commands (``run`` with several configs, ``all``) exit nonzero when
 *any* job failed, while still reporting every job that completed.
@@ -521,63 +515,20 @@ def _cmd_verilog(args) -> int:
     return 0
 
 
-def _parse_peers(spec: str):
-    """Parse a ``--peers``/``--nodes`` list: ``id=host:port,id=host:port``."""
-    peers = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        node_id, eq, address = item.partition("=")
-        host, colon, port_text = address.rpartition(":")
-        if not eq or not colon or not node_id or not host:
-            raise CliUsageError(
-                f"bad peer {item!r}; expected id=host:port (e.g. "
-                f"n0=127.0.0.1:8973)"
-            )
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise CliUsageError(f"bad peer port in {item!r}") from None
-        peers.append((node_id, host, port))
-    if not peers:
-        raise CliUsageError("peer list is empty")
-    return peers
-
-
 def _cmd_serve(args) -> int:
     from repro.service import FlowService, ResultStore, ServiceServer
 
-    node_id = args.node_id or f"node-{os.getpid()}"
     journal = None
     if args.journal:
         from repro.obs.journal import EventJournal
 
-        journal = EventJournal(args.journal, source=node_id)
-    if args.peers:
-        # Cluster member: this node's store consults the ring owners for
-        # digests it is missing (GET /result/<digest>) before compiling.
-        from repro.cluster import Membership, PeerResultStore
-
-        membership = Membership()
-        for peer_id, host, port in _parse_peers(args.peers):
-            membership.add(peer_id, host, port)
-        store = PeerResultStore(
-            root=args.store_dir,
-            max_entries=args.store_max,
-            node_id=node_id,
-            owners_for=membership.owners,
-            journal=journal,
-        )
-    else:
-        store = ResultStore(root=args.store_dir, max_entries=args.store_max)
+        journal = EventJournal(args.journal, source="daemon")
     service = FlowService(
-        store=store,
+        store=ResultStore(root=args.store_dir, max_entries=args.store_max),
         workers=args.workers,
         queue_limit=args.queue_limit,
         max_attempts=args.max_attempts,
         job_timeout_s=args.job_timeout,
-        node_id=node_id,
         journal=journal,
     )
     server = ServiceServer(service, host=args.host, port=args.port)
@@ -585,7 +536,7 @@ def _cmd_serve(args) -> int:
     async def _main() -> None:
         await server.start()
         print(
-            f"repro service {service.node_id} listening on "
+            "repro service listening on "
             f"http://{server.host}:{server.port} "
             f"(workers={service.workers}, queue_limit={service.queue_limit}, "
             f"store={service.store.root})",
@@ -620,10 +571,9 @@ def _cmd_submit(args) -> int:
         print(f"repro: busy: {exc}", file=sys.stderr)
         return 3
     except ServiceError as exc:
-        if exc.status in (0, 503):
-            # Unreachable even after the client's backoff retries (or, via
-            # a cluster router, every replica down): same "try again
-            # later" contract as backpressure, not a hard fail.
+        if exc.status == 0:
+            # Unreachable even after the client's backoff retries: same
+            # "try again later" contract as backpressure, not a hard fail.
             print(f"repro: error: {exc}", file=sys.stderr)
             return 3
         if exc.payload and exc.payload.get("state") == "failed":
@@ -667,11 +617,6 @@ def _cmd_status(args) -> int:
         return 3 if exc.status == 0 else 1
     if args.json or args.job_id:
         print(json.dumps(document, indent=2))
-        return 0
-    if getattr(args, "cluster", False) or document.get("schema", "").startswith(
-        "repro-cluster-status"
-    ):
-        print(_render_cluster_table(document))
         return 0
     print(_render_status_table(document))
     return 0
@@ -754,102 +699,6 @@ def _render_status_table(document) -> str:
                 f"{trace_id}"
             )
     return "\n".join(lines)
-
-
-def _render_cluster_table(document) -> str:
-    """The human view of a router's cluster status: one row per node
-    (queue depth, lane occupancy, in-flight, store size) plus the router's
-    own cache/failover counters.  (``--json`` prints the raw document,
-    which preserves every node's full health snapshot.)"""
-    router = document.get("router", {})
-    nodes = document.get("nodes", [])
-    alive = sum(1 for node in nodes if node.get("state") == "alive")
-    requests = router.get("requests", 0)
-    cache_hits = router.get("cache_hits", 0)
-    hit_rate = f"{100.0 * cache_hits / requests:.0f}%" if requests else "-"
-    lines = [
-        f"cluster        {len(nodes)} nodes ({alive} alive), "
-        f"ring v{document.get('ring_version', 0)}, "
-        f"replicas {document.get('replicas', 0)}",
-        f"router         requests {requests}, cache hits {cache_hits} "
-        f"({hit_rate}), failovers {router.get('failovers', 0)}, "
-        f"busy redirects {router.get('busy_redirects', 0)}, "
-        f"uptime {_format_uptime(router.get('uptime_s', 0))}",
-        "",
-        f"{'node':<10s} {'state':<7s} {'queue':>7s}  {'lanes h/n/l':<12s} "
-        f"{'inflight':>8s} {'workers':>7s} {'store':>6s}  uptime",
-    ]
-    for node in nodes:
-        vitals = node.get("vitals") or {}
-        lanes = vitals.get("lanes") or {}
-        lane_text = (
-            f"{lanes.get('high', 0)}/{lanes.get('normal', 0)}/"
-            f"{lanes.get('low', 0)}"
-        )
-        queue_text = (
-            f"{vitals.get('queue_depth', 0)}/{vitals.get('queue_limit', 0)}"
-            if vitals
-            else "-"
-        )
-        lines.append(
-            f"{node.get('node_id', '?'):<10s} {node.get('state', '?'):<7s} "
-            f"{queue_text:>7s}  {lane_text:<12s} "
-            f"{vitals.get('inflight', 0):>8d} {vitals.get('workers', 0):>7d} "
-            f"{vitals.get('store_entries', 0):>6d}  "
-            f"{_format_uptime(vitals.get('uptime_s', 0))}"
-        )
-    return "\n".join(lines)
-
-
-def _cmd_cluster_serve(args) -> int:
-    from repro.cluster import ClusterRouter, Membership, RouterServer
-
-    journal = None
-    if args.journal:
-        from repro.obs.journal import EventJournal
-
-        journal = EventJournal(args.journal, source="router")
-    membership = Membership(
-        replicas=args.replicas,
-        heartbeat_s=args.heartbeat,
-        max_misses=args.max_misses,
-        journal=journal,
-    )
-    for node_id, host, port in _parse_peers(args.nodes):
-        membership.add(node_id, host, port)
-    router = ClusterRouter(
-        membership, cache_entries=args.cache_entries, journal=journal
-    )
-    server = RouterServer(router, host=args.host, port=args.port)
-    server.start()
-    membership.start_heartbeat()
-    print(
-        f"repro cluster router listening on http://{server.host}:{server.port} "
-        f"(nodes={len(membership.members())}, replicas={membership.replicas})",
-        flush=True,
-    )
-    try:
-        while server._thread is not None and server._thread.is_alive():
-            server._thread.join(timeout=1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        membership.stop_heartbeat()
-        server.stop()
-    return 0
-
-
-def _cmd_cluster_submit(args) -> int:
-    # The router's /submit speaks the same protocol as a node's, so the
-    # plain service client works — only the error mapping differs (503:
-    # every replica of the digest was unreachable).
-    return _cmd_submit(args)
-
-
-def _cmd_cluster_status(args) -> int:
-    args.cluster = True
-    args.job_id = None
-    return _cmd_status(args)
 
 
 def _experiment_command(name: str):
@@ -1015,7 +864,7 @@ def main(argv=None) -> int:
     p_dse.add_argument(
         "--backend", default="inline", choices=BACKEND_NAMES,
         help="where compiles run: this process, engine worker processes, "
-        "a flow-service daemon, or the cluster router (default inline)",
+        "or a flow-service daemon (default inline)",
     )
     p_dse.add_argument(
         "--budget", type=int, default=24, metavar="N",
@@ -1038,7 +887,7 @@ def main(argv=None) -> int:
     p_dse.add_argument("--host", default="127.0.0.1")
     p_dse.add_argument(
         "--port", type=int, default=9321,
-        help="service daemon / cluster router port (default 9321)",
+        help="service daemon port (default 9321)",
     )
     p_dse.add_argument(
         "--json", action="store_true",
@@ -1130,23 +979,13 @@ def main(argv=None) -> int:
         help="result-store entry cap before LRU eviction (default 256)",
     )
     p_serve.add_argument(
-        "--node-id", default=None, metavar="ID",
-        help="cluster identity of this node (default node-<pid>)",
-    )
-    p_serve.add_argument(
         "--store-dir", default=None, metavar="DIR",
-        help="result-store directory (default $REPRO_CACHE_DIR/results; "
-        "cluster nodes sharing a cache dir need per-node store dirs)",
-    )
-    p_serve.add_argument(
-        "--peers", default=None, metavar="ID=HOST:PORT,...",
-        help="cluster peer list; local store misses then consult the "
-        "digest's ring owners (GET /result/<digest>) before compiling",
+        help="result-store directory (default $REPRO_CACHE_DIR/results)",
     )
     p_serve.add_argument(
         "--journal", default=None, metavar="PATH",
         help="event-journal file (default $REPRO_CACHE_DIR/journal/"
-        "events.jsonl; cluster nodes usually share one)",
+        "events.jsonl)",
     )
     p_serve.set_defaults(fn=_cmd_serve)
 
@@ -1172,85 +1011,9 @@ def main(argv=None) -> int:
         "job_id", nargs="?", default=None, help="job id (omit for the overview)"
     )
     p_status.add_argument("--json", action="store_true")
-    p_status.add_argument(
-        "--cluster", action="store_true",
-        help="point --host/--port at a cluster router and render the "
-        "aggregated per-node table (--json keeps the raw per-node "
-        "snapshots)",
-    )
     p_status.add_argument("--host", default=DEFAULT_HOST)
     p_status.add_argument("--port", type=int, default=DEFAULT_PORT)
     p_status.set_defaults(fn=_cmd_status)
-
-    p_cluster = sub.add_parser(
-        "cluster", help="multi-node cluster: router, status, submit"
-    )
-    cluster_sub = p_cluster.add_subparsers(dest="cluster_command", required=True)
-
-    p_cserve = cluster_sub.add_parser(
-        "serve", help="run the consistent-hash router over a node fleet"
-    )
-    p_cserve.add_argument(
-        "--nodes", required=True, metavar="ID=HOST:PORT,...",
-        help="member daemons (started separately with repro serve)",
-    )
-    p_cserve.add_argument("--host", default=DEFAULT_HOST)
-    p_cserve.add_argument(
-        "--port", type=int, default=DEFAULT_PORT + 1,
-        help=f"router port (default {DEFAULT_PORT + 1})",
-    )
-    p_cserve.add_argument(
-        "--replicas", type=int, default=2, metavar="N",
-        help="owners per digest: primary + N-1 backups (default 2)",
-    )
-    p_cserve.add_argument(
-        "--heartbeat", type=float, default=0.5, metavar="S",
-        help="health-probe interval in seconds (default 0.5)",
-    )
-    p_cserve.add_argument(
-        "--max-misses", type=int, default=3, metavar="N",
-        help="missed heartbeats before a node leaves the ring (default 3)",
-    )
-    p_cserve.add_argument(
-        "--cache-entries", type=int, default=512, metavar="N",
-        help="router hot-digest cache bound (default 512)",
-    )
-    p_cserve.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="event-journal file for membership/failover events",
-    )
-    p_cserve.set_defaults(fn=_cmd_cluster_serve)
-
-    p_csubmit = cluster_sub.add_parser(
-        "submit", help="submit one compilation through the router"
-    )
-    p_csubmit.add_argument("design", choices=design_names(include_extra=True))
-    p_csubmit.add_argument("--config", default="orig", choices=sorted(CONFIGS))
-    p_csubmit.add_argument(
-        "--priority", default="normal", choices=("high", "normal", "low")
-    )
-    p_csubmit.add_argument(
-        "--wait", action="store_true", help="block until the job finishes"
-    )
-    p_csubmit.add_argument("--json", action="store_true")
-    p_csubmit.add_argument("--host", default=DEFAULT_HOST)
-    p_csubmit.add_argument(
-        "--port", type=int, default=DEFAULT_PORT + 1,
-        help=f"router port (default {DEFAULT_PORT + 1})",
-    )
-    _add_flow_options(p_csubmit, jobs=False)
-    p_csubmit.set_defaults(fn=_cmd_cluster_submit)
-
-    p_cstatus = cluster_sub.add_parser(
-        "status", help="aggregated per-node cluster status from the router"
-    )
-    p_cstatus.add_argument("--json", action="store_true")
-    p_cstatus.add_argument("--host", default=DEFAULT_HOST)
-    p_cstatus.add_argument(
-        "--port", type=int, default=DEFAULT_PORT + 1,
-        help=f"router port (default {DEFAULT_PORT + 1})",
-    )
-    p_cstatus.set_defaults(fn=_cmd_cluster_status)
 
     args = parser.parse_args(argv)
     try:

@@ -6,14 +6,13 @@ Public surface:
 * :class:`~repro.dse.search.DseReport` — its deterministic result;
 * :class:`~repro.dse.points.DsePoint` / :func:`~repro.dse.points.point_signals`
   — the explored coordinates and their cheap pre-compile signals;
-* :func:`~repro.dse.backends.make_backend` and the four backend classes —
-  inline flow, multiprocessing engine, flow service, cluster router.
+* :func:`~repro.dse.backends.make_backend` and the three backend classes —
+  inline flow, multiprocessing engine, flow service.
 """
 
 from repro.dse.backends import (
     BACKEND_NAMES,
     Backend,
-    ClusterBackend,
     EngineBackend,
     InlineBackend,
     PointOutcome,
@@ -26,7 +25,6 @@ from repro.dse.search import DseReport, Evaluation, explore
 __all__ = [
     "BACKEND_NAMES",
     "Backend",
-    "ClusterBackend",
     "DsePoint",
     "DseReport",
     "EngineBackend",

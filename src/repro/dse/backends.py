@@ -1,7 +1,7 @@
 """Evaluation backends for the design-space explorer.
 
 A backend turns a batch of :class:`~repro.dse.points.DsePoint` into
-observed Fmax numbers.  All four run the *same* flow code path — the
+observed Fmax numbers.  All three run the *same* flow code path — the
 explorer's results are backend-independent, only wall-clock and placement
 differ:
 
@@ -12,10 +12,7 @@ differ:
 * :class:`ServiceBackend` — a single-node flow service
   (:class:`~repro.service.client.ServiceClient`): submissions coalesce
   with whatever else the daemon is compiling, and results persist in its
-  store;
-* :class:`ClusterBackend` — the consistent-hash cluster router
-  (:class:`~repro.cluster.router.ClusterRouter`): points scatter across
-  the fleet by request digest.
+  store.
 
 A failed compile is *data*, not an abort: the point comes back with
 ``error`` set and the search treats it as dominated by everything.
@@ -33,7 +30,7 @@ from repro.flow import Flow
 from repro.dse.points import DsePoint
 
 #: Names accepted by :func:`make_backend` (the CLI's ``--backend``).
-BACKEND_NAMES = ("inline", "engine", "service", "cluster")
+BACKEND_NAMES = ("inline", "engine", "service")
 
 
 @dataclass
@@ -182,19 +179,6 @@ class ServiceBackend(Backend):
         return outcomes
 
 
-class ClusterBackend(ServiceBackend):
-    """Evaluate points through the cluster router (digest-sharded fleet).
-
-    ``client`` is anything with the router submit signature: an in-process
-    :class:`~repro.cluster.router.ClusterRouter`, or a
-    :class:`~repro.service.client.ServiceClient` pointed at a
-    :class:`~repro.cluster.server.RouterServer` (the router's HTTP
-    ``/submit`` speaks the node protocol).
-    """
-
-    name = "cluster"
-
-
 def make_backend(
     spec: Any = "inline",
     jobs: int = 1,
@@ -214,12 +198,6 @@ def make_backend(
         from repro.service.client import ServiceClient
 
         return ServiceBackend(ServiceClient(host=host, port=port))
-    if name == "cluster":
-        from repro.service.client import ServiceClient
-
-        # A router server's /submit speaks the node protocol, so the plain
-        # service client is the transport; routing happens server-side.
-        return ClusterBackend(ServiceClient(host=host, port=port))
     raise ReproError(
         f"unknown DSE backend {spec!r}; valid backends: {', '.join(BACKEND_NAMES)}"
     )

@@ -433,8 +433,8 @@ def explore(
     Args:
         design: Registry name (see :func:`repro.designs.build_design`).
         params: Design-builder kwargs.
-        backend: Backend name (``inline`` / ``engine`` / ``service`` /
-            ``cluster``) or a :class:`~repro.dse.backends.Backend`.
+        backend: Backend name (``inline`` / ``engine`` / ``service``) or
+            a :class:`~repro.dse.backends.Backend`.
         budget: Maximum number of flow compiles (coalesced/pruned points
             are free).
         seed: Drives the mutation stream *and* every flow compile, so a
@@ -442,7 +442,7 @@ def explore(
         max_generations: Upper bound on mutation rounds.
         clocks: Clock-retarget factors relative to the design's target.
         jobs / host / port: Backend transport knobs (engine worker count,
-            service/cluster address).
+            service address).
     """
     backend = make_backend(backend, jobs=jobs, host=host, port=port)
     explorer = _Explorer(

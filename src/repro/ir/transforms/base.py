@@ -10,7 +10,7 @@ can enumerate, compose, hash and replay them:
   and :meth:`Transform.digest` is stable across processes;
 * a :class:`TransformPlan` is an ordered composition of transforms; its
   wire form (:meth:`TransformPlan.to_spec`) rides inside ``FlowRequest`` so
-  plans are digest-visible to the service/cluster coalescing layers;
+  plans are digest-visible to the service's coalescing layer;
 * every concrete transform must be interp-equivalent: applying it must not
   change the design's observable behaviour under
   :class:`repro.sim.dataflow.DataflowSim` (outputs and final buffer

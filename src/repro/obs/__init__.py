@@ -48,7 +48,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
 )
 from repro.obs.profiler import (
     PROFILE_SCHEMA,
@@ -103,7 +102,6 @@ __all__ = [
     "add",
     "observe",
     "set_gauge",
-    "global_registry",
     "TraceContext",
     "new_trace_id",
     "new_span_id",

@@ -250,14 +250,3 @@ class MetricsRegistry:
             },
         }
 
-
-#: The process-wide registry: the cluster components (router, membership,
-#: peer fetch) record fleet-level metrics here regardless of which tracer
-#: was ambient, and every daemon's ``/metrics`` renders it next to that
-#: daemon's own registry.
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide :class:`MetricsRegistry` singleton."""
-    return _GLOBAL_REGISTRY

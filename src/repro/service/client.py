@@ -55,14 +55,13 @@ class ServiceBusyError(ServiceError):
 class ServiceClient:
     """Talks to one ``repro serve`` daemon.
 
-    Connection-level failures (refused, reset — a node restarting or a
-    router fronting a briefly-dead replica) are retried ``retries`` extra
-    times with exponential backoff plus jitter before surfacing as
-    :class:`ServiceError` with ``status=0``.  Retrying ``POST /submit`` is
-    safe because submissions are content-addressed: a duplicate delivery
-    coalesces onto the in-flight job or hits the result store.  Set
-    ``retries=0`` for fail-fast probes (the cluster router does, so a dead
-    node is detected in one round-trip).
+    Connection-level failures (refused, reset — a daemon restarting) are
+    retried ``retries`` extra times with exponential backoff plus jitter
+    before surfacing as :class:`ServiceError` with ``status=0``.  Retrying
+    ``POST /submit`` is safe because submissions are content-addressed: a
+    duplicate delivery coalesces onto the in-flight job or hits the result
+    store.  Set ``retries=0`` for fail-fast scripts that would rather see
+    a down daemon in one round-trip than wait out the backoff.
     """
 
     def __init__(
@@ -153,15 +152,10 @@ class ServiceClient:
 
     # -- probes ----------------------------------------------------------
     def ping(self) -> bool:
-        try:  # fail-fast: wait_ready and heartbeats do their own pacing
+        try:  # fail-fast: wait_ready does its own pacing
             return bool(self._request("GET", "/healthz", retry=False).get("ok"))
         except ServiceError:
             return False
-
-    def health(self) -> Dict[str, Any]:
-        """The per-node ``/health`` vitals document (fail-fast, no
-        retries — heartbeat callers want dead nodes detected quickly)."""
-        return self._request("GET", "/health", retry=False)
 
     def wait_ready(self, timeout: float = 15.0, interval: float = 0.1) -> None:
         """Poll ``/healthz`` until the daemon answers (or raise)."""
@@ -241,9 +235,9 @@ class ServiceClient:
         return raw.decode("utf-8")
 
     def get_result_bytes(self, digest: str) -> Optional[bytes]:
-        """Download the result record bytes for ``digest`` from this node
-        (``None`` on a miss).  The peer-fetch transport: the caller checks
-        and installs them with :meth:`ResultStore.put_bytes`."""
+        """Download the result record bytes for ``digest`` from this daemon
+        (``None`` on a miss).  The caller checks them with
+        :meth:`ResultRecord.parse` before trusting them."""
         status, raw = self._transport("GET", f"/result/{digest}", retry=False)
         if status == 404:
             return None

@@ -207,7 +207,6 @@ class FlowService:
         entry: Optional[Callable] = None,
         journal: Optional[EventJournal] = None,
         trace_store: Optional[TraceStore] = None,
-        node_id: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
@@ -233,9 +232,6 @@ class FlowService:
             source="daemon",
         )
         self.traces = trace_store or TraceStore()
-        #: Cluster identity: stamped into ``/health``, ``/status`` and the
-        #: journal so multi-node logs stay attributable per node.
-        self.node_id = node_id or f"node-{os.getpid()}"
         self.created_s = time.time()
         self._created_mono = time.perf_counter()
         self._entry = entry or worker_entry
@@ -439,7 +435,6 @@ class FlowService:
         recent = list(self._jobs.values())[-jobs_limit:]
         return {
             "schema": "repro-service-status/1",
-            "node_id": self.node_id,
             "queue": {
                 "depth": self._queued_count(),
                 "limit": self.queue_limit,
@@ -459,23 +454,6 @@ class FlowService:
     def counter(self, name: str) -> float:
         """Convenience for tests/CI: one of this daemon's counters."""
         return self.registry.counter(name)
-
-    def health(self) -> Dict[str, Any]:
-        """The ``/health`` document: a cheap per-node vitals record the
-        cluster router's heartbeat and ``repro status --cluster`` consume
-        (``/status`` serializes every job record — too heavy to poll)."""
-        return {
-            "ok": True,
-            "schema": "repro-node-health/1",
-            "node_id": self.node_id,
-            "queue_depth": self._queued_count(),
-            "queue_limit": self.queue_limit,
-            "lanes": self.lane_depths(),
-            "inflight": len(self._inflight),
-            "workers": self.workers,
-            "store_entries": len(self.store),
-            "uptime_s": self.uptime_s(),
-        }
 
     def lane_depths(self) -> Dict[str, int]:
         """Queued jobs per priority lane (the ``/metrics`` label source)."""

@@ -8,17 +8,12 @@ scripts; connection reuse buys nothing here).
 Routes:
 
 * ``GET  /healthz``      — liveness probe;
-* ``GET  /health``       — cheap per-node vitals (queue depth, lanes,
-  inflight, store size) for cluster heartbeats and ``status --cluster``;
 * ``GET  /result/<digest>`` — the stored result record (canonical JSON
-  bytes) for peer fetch: a cluster node missing a digest locally
-  downloads and checks the owner's record instead of recompiling.
-  Strictly local lookup;
+  bytes), the data-only answer a client checks and parses itself;
 * ``GET  /status``       — the daemon snapshot (queue, metrics, store);
 * ``GET  /metrics``      — Prometheus-style text exposition of this
   daemon's metrics registry (queue depth per lane, coalesce/hit
-  counters, compile-latency summaries, worker restarts) plus the
-  process-wide cluster counters;
+  counters, compile-latency summaries, worker restarts);
 * ``GET  /trace/<digest>`` — the merged per-request trace document
   (daemon span + every worker attempt, partial spans included);
 * ``GET  /jobs/<id>``    — one job record (404 for unknown ids);
@@ -52,10 +47,8 @@ from repro.obs.exposition import (
     CONTENT_TYPE as EXPOSITION_CONTENT_TYPE,
     Family,
     Sample,
-    registry_families,
     render_exposition,
 )
-from repro.obs.metrics import global_registry
 from repro.service.daemon import FlowService, QueueFullError, UnknownJobError
 from repro.service.request import FlowRequest
 
@@ -180,8 +173,6 @@ class ServiceServer:
     ) -> Tuple[int, Union[Dict[str, Any], str, bytes]]:
         if method == "GET" and path == "/healthz":
             return 200, {"ok": True, "schema": "repro-service/1"}
-        if method == "GET" and path == "/health":
-            return 200, self.service.health()
         if method == "GET" and path.startswith("/result/"):
             digest = path[len("/result/"):]
             payload = self.service.store.get_bytes(digest)
@@ -213,8 +204,7 @@ class ServiceServer:
 
     def metrics_text(self) -> str:
         """The ``/metrics`` exposition document: this daemon's registry,
-        the process-wide one (the cluster counters), live labeled lane
-        depths and the daemon uptime."""
+        live labeled lane depths and the daemon uptime."""
         lane_family = Family(
             name="repro_service_lane_queue_depth",
             kind="gauge",
@@ -235,9 +225,7 @@ class ServiceServer:
         )
         return render_exposition(
             self.service.registry,
-            extra_families=[
-                *registry_families(global_registry()), lane_family, uptime
-            ],
+            extra_families=[lane_family, uptime],
         )
 
     async def _submit(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:

@@ -7,15 +7,14 @@ produced it, and stored as one file, ``<digest>.json``: a canonical-JSON
 result's :meth:`~repro.flow.FlowResult.fingerprint` (whose design,
 config, clock, Fmax, period and critical-path class are the summary the
 daemon reports), the timing report with its critical path, and the stage
-journal.  It is data only: a hit, a ``/result/<digest>`` download and a
-peer install all parse JSON, and nothing that reaches the store from
-another process is ever unpickled.  The full
-:class:`~repro.flow.FlowResult` (netlist, placement, schedules) stays in
-the process that compiled it.
+journal.  It is data only: a hit and a ``/result/<digest>`` download both
+parse JSON, and nothing another process wrote into the store is ever
+unpickled.  The full :class:`~repro.flow.FlowResult` (netlist, placement,
+schedules) stays in the process that compiled it.
 
 Every record is validated where it is read, by :meth:`ResultRecord.parse`:
 the fingerprint must hash to the record's ``result_digest``, and the
-request must hash to the digest the record is stored or fetched under.
+request must hash to the digest the record is stored under.
 A file that fails either check, or whose ``schema`` is not
 :data:`STORE_SCHEMA` (an entry of an older layout), is a miss.
 
@@ -35,7 +34,7 @@ Guarantees:
   left count toward the bound and are evicted in their turn, and an entry
   with a corrupt record still counts too.
 * **Write/evict exclusion** — writers and evictors (possibly in different
-  processes: every cluster node worker shares its node's store) serialize
+  processes: every worker of a daemon shares the daemon's store) serialize
   on an ``flock`` over ``<root>/.lock``, and eviction re-checks each
   victim's mtime against its directory-scan snapshot before unlinking.
   Without this, an evictor working from a stale scan could delete the
@@ -184,7 +183,8 @@ class ResultRecord:
         )
 
     def to_bytes(self) -> bytes:
-        """The canonical-JSON encoding stored on disk and sent to peers."""
+        """The canonical-JSON encoding stored on disk and served by
+        ``/result/<digest>``."""
         return canonical_json(self.document).encode("ascii")
 
     # -- what callers read -------------------------------------------------
@@ -281,7 +281,7 @@ class ResultStore:
         A :func:`~repro.cachedir.file_lock` on ``<root>/.lock``; the lock
         file itself is never an entry (no ``.json``/``.pkl`` suffix).
         Callers must not nest acquisitions (the lock is not re-entrant) —
-        ``put``/``put_bytes`` therefore call
+        ``put`` therefore calls
         :func:`~repro.cachedir.evict_lru` directly, not :meth:`evict`.
         """
         os.makedirs(self.root, exist_ok=True)
@@ -314,24 +314,9 @@ class ResultStore:
 
     def get_bytes(self, digest: str) -> Optional[bytes]:
         """The record bytes for ``digest`` (the ``/result/<digest>`` wire
-        format), or ``None`` on a miss.  Strictly local — the explicit
-        base-class call bypasses peer-fetch subclasses, so a node serving
-        its ``/result`` route can never recurse into the fleet."""
-        hit = ResultStore.get(self, digest)
+        format), or ``None`` on a miss."""
+        hit = self.get(digest)
         return hit.record.to_bytes() if hit is not None else None
-
-    def put_bytes(self, digest: str, data: bytes) -> Optional[StoredResult]:
-        """Install record bytes fetched from a peer (write-through caching).
-
-        The bytes are parsed as JSON and checked by
-        :meth:`ResultRecord.parse`; anything else returns ``None`` and
-        stores nothing.
-        """
-        try:
-            record = ResultRecord.parse(data, digest)
-        except ReproError:
-            return None
-        return self._write(record)
 
     def entries(self) -> List[Dict[str, Any]]:
         """All parseable records, least-recently-used first (for listings)."""
@@ -355,9 +340,7 @@ class ResultStore:
         """Store ``result`` (a live result or a record) under ``request``'s
         digest (atomic), then evict down to ``max_entries``.  The returned
         entry's ``evicted`` counts the entries that made room."""
-        return self._write(ResultRecord.build(request, result))
-
-    def _write(self, record: ResultRecord) -> StoredResult:
+        record = ResultRecord.build(request, result)
         data = record.to_bytes()  # encode outside the lock
         path = self._path(record.digest)
         with self._exclusive():

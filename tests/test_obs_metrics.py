@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     RESERVOIR_SIZE,
     Histogram,
     MetricsRegistry,
-    global_registry,
 )
 
 
@@ -119,10 +118,3 @@ class TestRegistry:
         hist = merged.histograms["latency"]
         assert hist.count == 2
         assert hist.total == 4.0
-
-    def test_global_registry_is_a_process_singleton(self):
-        assert global_registry() is global_registry()
-        marker = "test.obs_metrics.marker"
-        before = global_registry().counter(marker)
-        global_registry().add(marker)
-        assert global_registry().counter(marker) == before + 1

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.service import (
+    ResultRecord,
     ResultStore,
     ServiceBusyError,
     ServiceClient,
@@ -50,6 +53,14 @@ class TestEndToEnd:
         result = client.load_result(record["digest"], store=server.service.store)
         assert result is not None
         assert result.result_digest() == record["result_digest"]
+
+    def test_result_route_serves_the_checked_record(self, live):
+        _, client = live
+        record = client.submit("matmul", config="orig", wait=True)
+        payload = client.get_result_bytes(record["digest"])
+        parsed = ResultRecord.parse(payload, record["digest"])
+        assert parsed.result_digest() == record["result_digest"]
+        assert client.get_result_bytes("0" * 64) is None
 
     def test_job_lookup_and_status(self, live):
         server, client = live
@@ -156,3 +167,105 @@ class TestShutdown:
             client.shutdown()
             # Idempotent: a second shutdown against a dead daemon is a no-op.
             client.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# client retry ladder: backoff + jitter on connection failures
+# ---------------------------------------------------------------------------
+class _Response:
+    def __init__(self, status=200, body=b'{"ok": true}'):
+        self.status = status
+        self._body = body
+
+    def read(self):
+        return self._body
+
+
+class _FlakyConnection:
+    """Module-level HTTPConnection stand-in: fail N times, then answer."""
+
+    failures = 0
+    attempts = 0
+    exception = ConnectionRefusedError("refused")
+
+    @classmethod
+    def reset(cls, failures, exception=None):
+        cls.failures = failures
+        cls.attempts = 0
+        if exception is not None:
+            cls.exception = exception
+
+    def __init__(self, host, port, timeout=None):
+        pass
+
+    def request(self, method, path, body=None, headers=None):
+        cls = type(self)
+        cls.attempts += 1
+        if cls.attempts <= cls.failures:
+            raise cls.exception
+
+    def getresponse(self):
+        return _Response()
+
+    def close(self):
+        pass
+
+
+@pytest.fixture()
+def flaky(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(http.client, "HTTPConnection", _FlakyConnection)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    _FlakyConnection.reset(0, ConnectionRefusedError("refused"))
+    return sleeps
+
+
+class TestClientRetry:
+    def test_transient_failures_are_retried(self, flaky):
+        _FlakyConnection.reset(2)
+        client = ServiceClient(port=1, retries=2, retry_backoff_s=0.1)
+        assert client._request("GET", "/status") == {"ok": True}
+        assert _FlakyConnection.attempts == 3
+        assert len(flaky) == 2  # slept between attempts, not after success
+
+    def test_backoff_grows_and_jitters_within_cap(self, flaky):
+        _FlakyConnection.reset(99)
+        client = ServiceClient(
+            port=1, retries=3, retry_backoff_s=0.1, retry_backoff_cap_s=0.2
+        )
+        with pytest.raises(ServiceError):
+            client._request("GET", "/status")
+        assert len(flaky) == 3
+        # Full jitter: each sleep is in [0.5, 1.5] × min(base·2^k, cap).
+        for sleep, nominal in zip(flaky, (0.1, 0.2, 0.2)):
+            assert nominal * 0.5 <= sleep <= nominal * 1.5
+
+    def test_exhausted_retries_surface_status_zero(self, flaky):
+        _FlakyConnection.reset(99)
+        client = ServiceClient(host="127.0.0.1", port=1, retries=2)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", "/status")
+        assert excinfo.value.status == 0
+        assert "cannot reach repro service at 127.0.0.1:1" in str(excinfo.value)
+        assert "after 3 attempt(s)" in str(excinfo.value)
+
+    def test_sigkilled_server_shapes_are_retried(self, flaky):
+        """BadStatusLine (empty response from a dying server) is an
+        ``http.client.HTTPException``, not an OSError — it must retry."""
+        _FlakyConnection.reset(1, http.client.BadStatusLine(""))
+        client = ServiceClient(port=1, retries=1)
+        assert client._request("GET", "/status") == {"ok": True}
+        assert _FlakyConnection.attempts == 2
+
+    def test_probes_do_not_retry(self, flaky):
+        _FlakyConnection.reset(99, ConnectionRefusedError("refused"))
+        client = ServiceClient(port=1, retries=5)
+        assert client.ping() is False
+        assert _FlakyConnection.attempts == 1 and not flaky
+
+    def test_retries_zero_is_fail_fast(self, flaky):
+        _FlakyConnection.reset(99)
+        client = ServiceClient(port=1, retries=0)
+        with pytest.raises(ServiceError):
+            client._request("GET", "/status")
+        assert _FlakyConnection.attempts == 1 and not flaky

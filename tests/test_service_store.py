@@ -1,5 +1,5 @@
 """The content-addressed result store: records, atomicity, LRU, crash
-tolerance, and what it refuses from a peer."""
+tolerance, and what it refuses from a tampered entry file."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from repro.cluster import peer as peer_module
 from repro.designs import build_design
 from repro.errors import ReproError
 from repro.flow import Flow
@@ -208,21 +207,20 @@ class TestLru:
             ResultStore(str(tmp_path), max_entries=0)
 
 
-class TestHostilePeer:
-    """``put_bytes`` is the peer-fetch install: every malformed or lying
-    record is refused, nothing is stored, and nothing is unpickled."""
+class TestTamperedEntry:
+    """The entry files on disk are the bytes from outside the program that
+    the store parses: every malformed or lying record written at an
+    entry's path reads as a miss, and nothing is unpickled."""
 
     @pytest.fixture()
-    def good(self, store, flow_result, tmp_path):
+    def good(self, flow_result):
         request = _request()
-        source = ResultStore(str(tmp_path / "owner"))
-        source.put(request, flow_result)
-        return request.digest(), source.get_bytes(request.digest())
+        return request.digest(), ResultRecord.build(request, flow_result).to_bytes()
 
     @pytest.fixture(autouse=True)
     def no_unpickling(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a peer's bytes reached pickle.loads")
+            raise AssertionError("an entry's bytes reached pickle.loads")
 
         monkeypatch.setattr(pickle, "loads", refuse)
         monkeypatch.setattr(pickle, "load", refuse)
@@ -233,15 +231,22 @@ class TestHostilePeer:
         record.update(changes)
         return json.dumps(record).encode()
 
-    def _refused(self, store, digest, data):
-        assert store.put_bytes(digest, data) is None
-        assert not os.path.exists(store._path(digest))
-        assert store.get(digest) is None
+    @staticmethod
+    def _write(store, digest, data):
+        os.makedirs(store.root, exist_ok=True)
+        with open(store._path(digest), "wb") as handle:
+            handle.write(data)
 
-    def test_valid_record_installs(self, store, good):
+    def _refused(self, store, digest, data):
+        self._write(store, digest, data)
+        assert store.get(digest) is None
+        assert store.get_bytes(digest) is None
+
+    def test_valid_record_reads(self, store, good):
         digest, data = good
-        entry = store.put_bytes(digest, data)
-        assert entry is not None and store.get_bytes(digest) == data
+        self._write(store, digest, data)
+        assert store.get(digest) is not None
+        assert store.get_bytes(digest) == data
 
     def test_corrupt(self, store, good):
         self._refused(store, good[0], b"{not json")
@@ -291,4 +296,3 @@ class TestHostilePeer:
 
     def test_wire_modules_do_not_import_pickle(self):
         assert not hasattr(store_module, "pickle")
-        assert not hasattr(peer_module, "pickle")

@@ -242,7 +242,8 @@ class TestMetricsExposition:
 
     def test_two_daemons_in_one_process_count_apart(self, tmp_path):
         """Each daemon's counter(), /status and /metrics read its own
-        registry, even when two share a process (thread-mode cluster)."""
+        registry, even when two share a process (two ``serve_in_thread``
+        embeddings, as a test harness or an embedding host runs them)."""
         first = _service(tmp_path / "a", workers=1)
         second = _service(tmp_path / "b", workers=1)
         with serve_in_thread(first) as server_a, serve_in_thread(second) as server_b:

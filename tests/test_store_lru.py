@@ -72,8 +72,7 @@ class _ResultKind(_StageKind):
 
     def put(self, index: int) -> str:
         request = FlowRequest.make("matmul", config="orig", seed=1000 + index)
-        record = ResultRecord.build(request, self.template)
-        assert self.store.put_bytes(request.digest(), record.to_bytes())
+        self.store.put(request, self.template)
         return request.digest()
 
 
