@@ -23,6 +23,7 @@ stage that re-ran but reproduced its stored outputs.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -303,7 +304,32 @@ class Flow:
         never share stage artifacts.  ``clock_mhz`` overrides both the
         flow-level and the design-level clock target for this run only
         (the explorer sweeps clocks without rebuilding flows).
+
+        The whole run, the pass manager's attempts and the result build,
+        executes with CPython's cyclic collector off.  A cold run builds
+        large, long-lived graphs (the lowered IR, a netlist of up to 22k
+        cells) that the collector keeps walking while they grow and finds
+        almost nothing to free.  The collector is re-enabled on return or
+        raise only if this call turned it off, so a caller that already
+        disabled it (a bench's timed window, a nested run) keeps its
+        state.  Heavy fields a caller reads after the run load with the
+        collector on.
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run(design, config, plan, clock_mhz)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _run(
+        self,
+        design: Design,
+        config: OptimizationConfig,
+        plan: Optional["TransformPlan"],
+        clock_mhz: Optional[float],
+    ) -> FlowResult:
         clock_mhz = float(
             clock_mhz
             or self.clock_mhz

@@ -663,6 +663,7 @@ class FlowService:
         )
         proc.start()
         child_conn.close()
+        spawned_s = self._now()
         job.worker_pid = proc.pid
         self._procs[job.id] = proc
         self._emit(
@@ -711,19 +712,34 @@ class FlowService:
             outcome=kind,
             trace_id=job.trace_id,
         )
-        self._read_spool(job, spool, partial=kind != "ok")
+        self._read_spool(job, spool, kind, proc.pid, spawned_s)
         return kind, payload if payload is not None else {}, exitcode
 
-    def _read_spool(self, job: Job, spool: str, partial: bool) -> None:
+    def _read_spool(
+        self, job: Job, spool: str, outcome: str, pid: int, spawned_s: float
+    ) -> None:
         """Bring one attempt's spans home from its spool: the worker's final
         write after a success, or the last generation the spool thread
-        managed before a crash, kill or clean failure (``partial``)."""
-        document = read_spool(spool)
+        managed before a crash, kill or clean failure (``partial``).
+
+        An attempt that did not succeed and left no spans (killed before
+        the spool's first write) gets one ``partial`` stub span carrying
+        its attempt, pid and outcome, so every attempt shows in the merged
+        trace."""
+        partial = outcome != "ok"
+        document = read_spool(spool) or {}
         discard_spool(spool)
-        if not document:
-            return
+        spans = [s for s in document.get("spans") or () if s]
+        if partial and not spans:
+            stub = obs.Span(
+                name="service.attempt",
+                attrs={"outcome": outcome, "pid": pid},
+                start_s=spawned_s,
+                end_s=self._now(),
+            )
+            spans = [obs.snapshot_span(stub)]
         meta = document.get("meta") or {}
-        for snapshot in document.get("spans") or ():
+        for snapshot in spans:
             span = obs.rebuild_span(snapshot)
             if span is None:
                 continue

@@ -162,6 +162,58 @@ class TestTracePropagation:
         survivor = by_attempt[2][0]
         assert survivor["attrs"].get("partial") is not True
 
+    def test_attempt_killed_before_its_first_spool_write_is_traced(
+        self, tmp_path, monkeypatch
+    ):
+        """Kill attempt 1 as soon as its pid is known, with no sleep: the
+        spool may not have written yet, and ``/trace/<digest>`` must still
+        carry both attempts."""
+        gate = tmp_path / "gate"
+        gate.write_text("hold\n")
+        monkeypatch.setenv(GATE_ENV, str(gate))
+        service = _service(
+            tmp_path, workers=1, max_attempts=3, entry=_gated_compile_entry
+        )
+        with serve_in_thread(service) as server:
+            client = ServiceClient(port=server.port)
+            record = client.submit("matmul", config="orig")
+            deadline = time.time() + 30
+            pid = None
+            while pid is None and time.time() < deadline:
+                pid = client.job(record["id"]).get("worker_pid")
+            assert pid, "worker never started"
+            os.kill(pid, signal.SIGKILL)
+            gate.unlink()
+            final = client.wait_job(record["id"], timeout=180)
+            assert final["state"] == "done", final
+            assert final["attempts"] == 2, final
+            document = client.get_trace(final["digest"])
+        attempts = {}
+        for span in document["worker_spans"]:
+            attempts.setdefault(span["attrs"]["attempt"], []).append(span)
+        assert set(attempts) == {1, 2}
+        assert all(s["attrs"]["partial"] is True for s in attempts[1])
+        assert all(s["attrs"].get("partial") is not True for s in attempts[2])
+
+    def test_attempt_with_no_spool_gets_a_partial_stub(self, tmp_path):
+        """A failed attempt that left no spool document is recorded as one
+        ``service.attempt`` stub span; a successful one adds nothing."""
+        service = _service(tmp_path)
+        job, _how = service.submit(FlowRequest.make("matmul", config="orig"))
+        job.attempts = 1
+        missing = str(tmp_path / "spool" / "never-written.json")
+        service._read_spool(job, missing, "crash", 4242, 0.0)
+        (stub,) = job.worker_spans
+        assert stub["name"] == "service.attempt"
+        assert stub["attrs"]["outcome"] == "crash"
+        assert stub["attrs"]["pid"] == 4242
+        assert stub["attrs"]["attempt"] == 1
+        assert stub["attrs"]["partial"] is True
+        assert stub["attrs"]["trace_id"] == job.trace_id
+
+        service._read_spool(job, missing, "ok", 4243, 0.0)
+        assert len(job.worker_spans) == 1
+
     def test_store_hit_keeps_the_compile_trace(self, tmp_path):
         """A store hit writes no trace document: /trace/<digest> stays the
         compile that made the result, worker spans and all."""
