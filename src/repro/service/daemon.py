@@ -22,6 +22,14 @@
   retried but quarantined immediately with a structured error record
   under ``$REPRO_CACHE_DIR/quarantine/``, as is a job that exhausts its
   retries.
+* **Event-driven supervision** — an attempt sleeps on the event loop
+  until the worker's pipe or its process sentinel is readable, or its
+  deadline passes (:func:`wait_readable`); there is no poll tick and no
+  thread.  A worker that outlives its payload by
+  :data:`WORKER_EXIT_GRACE_S` is killed, so every ``worker.exit`` event
+  carries an integer ``exitcode``, and :meth:`FlowService.stop` kills and
+  reaps the workers of the attempts it cancels.  Needs a selector event
+  loop (``add_reader``), the default on POSIX.
 
 Observability: one sink per kind of telemetry.  Each job carries its own
 ``service.job`` span (queue wait, attempts, outcome), served in the job
@@ -87,8 +95,8 @@ QUARANTINE_SCHEMA = "repro-quarantine/1"
 #: At least the 50 jobs ``/status`` lists.
 JOB_RETENTION = 256
 
-#: Poll interval of the worker-process supervisor (s).
-SUPERVISE_TICK_S = 0.02
+#: How long a worker may outlive its payload before it is killed (s).
+WORKER_EXIT_GRACE_S = 5.0
 
 
 class QueueFullError(ReproError):
@@ -97,6 +105,39 @@ class QueueFullError(ReproError):
 
 class UnknownJobError(ReproError):
     """A status query named a job id the daemon has never seen."""
+
+
+async def wait_readable(fds: Tuple[int, ...], timeout_s: float) -> bool:
+    """Wait until any of ``fds`` is readable (``True``) or ``timeout_s``
+    passes (``False``), on the running selector loop's own readiness
+    callbacks: no thread, no poll tick."""
+    loop = asyncio.get_running_loop()
+    woken = loop.create_future()
+
+    def wake(ready: bool) -> None:
+        if not woken.done():
+            woken.set_result(ready)
+
+    for fd in fds:
+        loop.add_reader(fd, wake, True)
+    timer = loop.call_later(max(0.0, timeout_s), wake, False)
+    try:
+        return await woken
+    finally:
+        timer.cancel()
+        for fd in fds:
+            loop.remove_reader(fd)
+
+
+async def _reap(proc) -> int:
+    """Wait for ``proc`` to exit, killing it after
+    :data:`WORKER_EXIT_GRACE_S`; returns its (integer) exit code."""
+    await wait_readable((proc.sentinel,), WORKER_EXIT_GRACE_S)
+    proc.join(0)
+    if proc.exitcode is None:
+        proc.kill()
+        proc.join()
+    return proc.exitcode
 
 
 def _mp_context():
@@ -238,7 +279,6 @@ class FlowService:
         self._lanes: Dict[str, Deque[Job]] = {p: deque() for p in PRIORITIES}
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}
-        self._procs: Dict[str, Any] = {}
         self._ids = itertools.count(1)
         self._work_available = asyncio.Event()
         self._tasks: List[asyncio.Task] = []
@@ -290,7 +330,8 @@ class FlowService:
         ]
 
     async def stop(self) -> None:
-        """Cancel dispatchers, kill live worker processes, release waiters."""
+        """Cancel dispatchers (each running attempt kills and reaps its
+        worker as it unwinds), then release waiters."""
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -300,12 +341,6 @@ class FlowService:
                 pass
         self._tasks = []
         self._started = False
-        for proc in list(self._procs.values()):
-            try:
-                proc.kill()
-            except Exception:
-                pass
-        self._procs.clear()
         for job in self._jobs.values():
             if not job.finished:
                 job.state = "aborted"
@@ -665,7 +700,6 @@ class FlowService:
         child_conn.close()
         spawned_s = self._now()
         job.worker_pid = proc.pid
-        self._procs[job.id] = proc
         self._emit(
             "worker.spawned",
             job_id=job.id,
@@ -679,23 +713,42 @@ class FlowService:
         timed_out = False
         try:
             while True:
+                # Liveness first: a worker already dead here wrote whatever
+                # payload it had, so the poll below cannot miss it.
+                alive = proc.is_alive()
                 if parent_conn.poll():
                     try:
                         payload = parent_conn.recv()
                     except Exception:
                         payload = None  # half-written message from a corpse
                     break
-                if not proc.is_alive():
+                if not alive:
                     break
-                if loop.time() >= deadline:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
                     timed_out = True
                     proc.kill()
                     break
-                await asyncio.sleep(SUPERVISE_TICK_S)
-            await loop.run_in_executor(None, proc.join, 5)
-            exitcode = proc.exitcode
+                await wait_readable(
+                    (parent_conn.fileno(), proc.sentinel), remaining
+                )
+            exitcode = await _reap(proc)
+        except asyncio.CancelledError:
+            # stop(): the attempt takes its worker down with it.
+            proc.kill()
+            proc.join()
+            self._emit(
+                "worker.exit",
+                job_id=job.id,
+                worker_pid=proc.pid,
+                attempt=job.attempts,
+                exitcode=proc.exitcode,
+                outcome="aborted",
+                trace_id=job.trace_id,
+            )
+            discard_spool(spool)
+            raise
         finally:
-            self._procs.pop(job.id, None)
             parent_conn.close()
         if payload is not None and payload.get("ok"):
             kind = "ok"

@@ -17,11 +17,15 @@ import time
 
 import pytest
 
+from repro.obs.journal import EventJournal, read_events
+from repro.service import daemon
 from repro.service.daemon import (
     JOB_RETENTION,
     FlowService,
     QueueFullError,
     UnknownJobError,
+    _mp_context,
+    wait_readable,
 )
 from repro.service.request import FlowRequest
 from repro.service.store import ResultStore
@@ -73,6 +77,29 @@ def _echo_entry(request_dict, store_root, conn):
 def _hang_entry(request_dict, store_root, conn):
     """Never answer — exercises the per-job deadline."""
     time.sleep(60)
+
+
+def _send_then_hang_entry(request_dict, store_root, conn):
+    """Answer at once, then never exit — exercises the exit grace."""
+    conn.send({"ok": True, "result_digest": "stub", "summary": {}})
+    conn.close()
+    time.sleep(60)
+
+
+def _silent_exit_entry():
+    """Exit without a word, as a crashing worker does."""
+    os._exit(3)
+
+
+def _pid_gone(pid):
+    """True once ``pid`` is reaped; a live (or unreaped) one is SIGKILLed so
+    a failing test leaks no process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    os.kill(pid, signal.SIGKILL)
+    return False
 
 
 def _service(tmp_path, **kwargs):
@@ -261,6 +288,34 @@ class TestFaultTolerance:
         _run(scenario())
 
 
+    def test_worker_outliving_its_payload_is_killed(self, tmp_path, monkeypatch):
+        """A worker still alive past the exit grace after answering is
+        killed and reaped; the job keeps its answer."""
+        monkeypatch.setattr(daemon, "WORKER_EXIT_GRACE_S", 0.2)
+        journal_path = tmp_path / "events.jsonl"
+
+        async def scenario():
+            service = _service(
+                tmp_path, workers=1, entry=_send_then_hang_entry,
+                journal=EventJournal(journal_path, source="daemon"),
+            )
+            await service.start()
+            try:
+                job, _ = service.submit(FlowRequest.make("matmul", seed=7))
+                await service.wait(job, timeout=30)
+                return job
+            finally:
+                await service.stop()
+
+        started = time.perf_counter()
+        job = _run(scenario())
+        assert job.state == "done"
+        assert time.perf_counter() - started < 4.0
+        assert _pid_gone(job.worker_pid)
+        exits = read_events(journal_path, grep="worker.exit")
+        assert [e["exitcode"] for e in exits] == [-signal.SIGKILL]
+
+
 class TestQueueSemantics:
     def test_backpressure_rejects_beyond_limit(self, tmp_path):
         async def scenario():
@@ -326,6 +381,31 @@ class TestQueueSemantics:
 
         _run(scenario())
 
+    def test_stop_kills_running_worker(self, tmp_path):
+        """stop() mid-attempt takes the worker down and reaps it."""
+        journal_path = tmp_path / "events.jsonl"
+
+        async def scenario():
+            service = _service(
+                tmp_path, workers=1, entry=_hang_entry,
+                journal=EventJournal(journal_path, source="daemon"),
+            )
+            await service.start()
+            job, _ = service.submit(FlowRequest.make("matmul", seed=11))
+            deadline = time.time() + 30
+            while job.worker_pid is None and time.time() < deadline:
+                await asyncio.sleep(0.01)
+            assert job.worker_pid is not None, "worker never started"
+            await service.stop()
+            assert job.state == "aborted"
+            return job.worker_pid
+
+        pid = _run(scenario())
+        assert _pid_gone(pid)
+        (exit_record,) = read_events(journal_path, grep="worker.exit")
+        assert exit_record["outcome"] == "aborted"
+        assert exit_record["exitcode"] == -signal.SIGKILL
+
     def test_snapshot_shape(self, tmp_path):
         async def scenario():
             service = _service(tmp_path, queue_limit=5)
@@ -388,3 +468,54 @@ class TestJobRetention:
             await service.stop()
 
         _run(scenario())
+
+
+class TestReadinessWait:
+    def test_pipe_write_wakes_it(self):
+        async def scenario():
+            read_fd, write_fd = os.pipe()
+            loop = asyncio.get_running_loop()
+            try:
+                loop.call_later(0.01, os.write, write_fd, b"x")
+                started = time.perf_counter()
+                ready = await wait_readable((read_fd,), 30.0)
+                elapsed = time.perf_counter() - started
+                assert not loop.remove_reader(read_fd)  # unregistered
+            finally:
+                os.close(read_fd)
+                os.close(write_fd)
+            return ready, elapsed
+
+        ready, elapsed = _run(scenario())
+        assert ready is True
+        assert elapsed < 1.0
+
+    def test_silent_exit_wakes_it_through_the_sentinel(self):
+        async def scenario():
+            proc = _mp_context().Process(target=_silent_exit_entry)
+            proc.start()
+            started = time.perf_counter()
+            ready = await wait_readable((proc.sentinel,), 30.0)
+            elapsed = time.perf_counter() - started
+            proc.join(0)
+            return ready, elapsed, proc.exitcode
+
+        ready, elapsed, exitcode = _run(scenario())
+        assert ready is True
+        assert elapsed < 5.0
+        assert exitcode == 3
+
+    def test_nothing_ready_returns_at_timeout(self):
+        async def scenario():
+            read_fd, write_fd = os.pipe()
+            try:
+                started = time.perf_counter()
+                ready = await wait_readable((read_fd,), 0.05)
+                return ready, time.perf_counter() - started
+            finally:
+                os.close(read_fd)
+                os.close(write_fd)
+
+        ready, elapsed = _run(scenario())
+        assert ready is False
+        assert 0.04 <= elapsed < 1.0
