@@ -27,7 +27,6 @@ def test_service_cold_warm_and_coalesced_throughput(bench_extras, tmp_path):
     store = ResultStore(str(tmp_path / "results"))
     with serve_in_thread(
         store=store,
-        quarantine_dir=str(tmp_path / "quarantine"),
         workers=2,
         queue_limit=32,
     ) as server:

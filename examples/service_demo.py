@@ -31,7 +31,6 @@ def main() -> None:
     workdir = tempfile.mkdtemp(prefix="repro-service-demo-")
     with serve_in_thread(
         store=ResultStore(f"{workdir}/results"),
-        quarantine_dir=f"{workdir}/quarantine",
         workers=2,
     ) as server:
         client = ServiceClient(server.host, server.port)

@@ -10,8 +10,8 @@ Commands:
 * ``trace <design> [--out t.json]`` — run the flow and export the trace;
   ``trace --request <digest>`` (or a unique digest prefix, such as the
   12 characters ``submit`` prints) instead loads the merged per-request trace
-  a service compile left behind (daemon span + every worker attempt,
-  partial spans of killed attempts included);
+  a service job stored next to its result record (daemon span + every
+  worker attempt, partial spans of killed attempts included);
 * ``profile <design> --sweep A,B,C`` — run a broadcast-factor sweep and
   rank pipeline stages by self-time, fitting each stage's scaling slope
   to flag super-linear (candidate O(n²)) hot paths;
@@ -226,9 +226,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_trace_request(args) -> int:
     """Render the merged per-request trace a service compile stored."""
-    from repro.service import TraceStore, rebuild_trace
+    from repro.service import ResultStore, rebuild_trace
 
-    store = TraceStore()
+    store = ResultStore()
     matches = store.resolve(args.request)
     if len(matches) > 1:
         print(
@@ -237,7 +237,7 @@ def _cmd_trace_request(args) -> int:
             file=sys.stderr,
         )
         return 1
-    document = store.get(matches[0]) if matches else None
+    document = store.get_trace(matches[0]) if matches else None
     if document is None:
         print(
             f"repro: error: no stored trace for request digest "
@@ -745,9 +745,10 @@ def main(argv=None) -> int:
     p_trace.add_argument("design", nargs="?", default=None, choices=design_names())
     p_trace.add_argument(
         "--request", default=None, metavar="DIGEST",
-        help="show the merged per-request trace stored by the service "
-        "for this request digest (or a unique prefix of it, such as the "
-        "12 characters `repro submit` prints) instead of running the flow",
+        help="show the merged per-request trace the service stored next to "
+        "the result (in $REPRO_CACHE_DIR/results/) for this request digest, "
+        "or a unique prefix of it such as the 12 characters `repro submit` "
+        "prints, instead of running the flow",
     )
     p_trace.add_argument("--config", default="orig,full")
     p_trace.add_argument(

@@ -1,7 +1,7 @@
 """Atomic writes, mtime-LRU eviction and the file lock of the on-disk caches.
 
-Every file the caches write (stage and result entries, calibration
-tables, trace documents and spools, quarantine records) goes through
+Every file the caches write (stage entries, result records and trace
+documents, calibration tables, trace spools) goes through
 :func:`atomic_write`: a temp file in the target's directory, then
 ``os.replace``, so a concurrent reader sees the old file or the new one,
 never a torn one.
@@ -32,9 +32,10 @@ try:  # POSIX advisory locks; without fcntl, file_lock is a no-op
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-#: Payload + sidecar entries (``<digest>.pkl`` + ``<digest>.json``).  The
-#: sidecar is written last and touched on every hit, so it carries recency;
-#: a payload left without one falls back to its own mtime.
+#: The stage store's payload + sidecar entries (``<digest>.pkl`` +
+#: ``<digest>.json``).  The sidecar is written last and touched on every
+#: hit, so it carries recency; a payload left without one falls back to
+#: its own mtime.
 SIDECAR_SUFFIXES = (".json", ".pkl")
 
 

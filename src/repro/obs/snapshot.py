@@ -137,9 +137,9 @@ def rebuild_span(
     capture, durations and timestamps included.
 
     This is the *faithful* inverse of :func:`snapshot_span`, used by the
-    service's merged-trace store to rehydrate per-request traces (daemon
-    span + every worker attempt's spans, partial ones included) for
-    ``repro trace --request`` and Chrome export.  Contrast with
+    service to rehydrate the per-request traces its result store keeps
+    (daemon span + every worker attempt's spans, partial ones included)
+    for ``repro trace --request`` and Chrome export.  Contrast with
     :func:`replay_span`, which deliberately rebuilds children with zero
     duration for cache-hit replay.
 

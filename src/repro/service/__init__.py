@@ -9,9 +9,10 @@ requests the way production HLS evaluation farms do:
   calibration provenance) with a deterministic content digest;
 * :mod:`repro.service.store` — :class:`ResultStore`, a content-addressed
   on-disk cache of finished compilations under
-  ``$REPRO_CACHE_DIR/results/``, one validated canonical-JSON
-  :class:`ResultRecord` each (atomic writes, LRU eviction), so repeat
-  requests return without recompiling;
+  ``$REPRO_CACHE_DIR/results/``, one entry per request: a validated
+  canonical-JSON :class:`ResultRecord` and the merged trace document of
+  the job that ran it (atomic writes, LRU eviction), so repeat requests
+  return without recompiling;
 * :mod:`repro.service.daemon` — :class:`FlowService`, the asyncio job
   queue: request deduplication/coalescing, bounded queue with
   backpressure, priority lanes, per-job timeout, and fault-tolerant worker
@@ -46,7 +47,7 @@ from repro.service.daemon import FlowService, Job, QueueFullError, UnknownJobErr
 from repro.service.request import FlowRequest, config_from_spec, config_to_dict
 from repro.service.server import ServiceServer, serve_in_thread
 from repro.service.store import ResultRecord, ResultStore, StoredResult
-from repro.service.traces import TRACE_SCHEMA, TraceStore, rebuild_trace
+from repro.service.traces import TRACE_SCHEMA, rebuild_trace
 from repro.service.worker import TELEMETRY_KEY, execute_request, worker_entry
 
 __all__ = [
@@ -71,6 +72,5 @@ __all__ = [
     "worker_entry",
     "TELEMETRY_KEY",
     "TRACE_SCHEMA",
-    "TraceStore",
     "rebuild_trace",
 ]

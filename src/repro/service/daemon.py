@@ -19,9 +19,10 @@
   retried with exponential backoff up to ``max_attempts``; a worker that
   hangs past the per-job timeout is killed and retried the same way.  A
   job whose flow raises *cleanly* is deterministic poison — it is not
-  retried but quarantined immediately with a structured error record
-  under ``$REPRO_CACHE_DIR/quarantine/``, as is a job that exhausts its
-  retries.
+  retried but quarantined immediately, as is a job that exhausts its
+  retries: its trace document in the result store carries the request,
+  the ``reason`` (``error``, ``crash`` or ``timeout``) and the structured
+  ``error``, traceback included.
 * **Event-driven supervision** — an attempt sleeps on the event loop
   until the worker's pipe or its process sentinel is readable, or its
   deadline passes (:func:`wait_readable`); there is no poll tick and no
@@ -34,8 +35,12 @@
 Observability: one sink per kind of telemetry.  Each job carries its own
 ``service.job`` span (queue wait, attempts, outcome), served in the job
 record and in the request's trace document next to the worker spans that
-every attempt leaves in its trace spool.  Counters, gauges and histograms
-go to the service's own :class:`~repro.obs.metrics.MetricsRegistry`
+every attempt leaves in its trace spool.  The trace document is the
+``<digest>.trace`` sibling of the result record in the result store
+(:meth:`~repro.service.store.ResultStore.put_trace`), bounded and evicted
+with it; a store hit writes none, so the document stays the compile's.
+Counters, gauges and histograms go to the service's own
+:class:`~repro.obs.metrics.MetricsRegistry`
 (``registry``), which ``/status``, :meth:`FlowService.counter` and
 ``/metrics`` all read.  Gauges/counters:
 ``service.queue_depth``, ``service.submitted``, ``service.compiles``,
@@ -48,7 +53,9 @@ prefix the retry resumed from (see :mod:`repro.pipeline`).
 
 Memory: the daemon keeps at most :data:`JOB_RETENTION` finished jobs;
 beyond it the oldest finished ones are forgotten (``/jobs/<id>`` then
-answers 404 for them), and unfinished jobs are never dropped.
+answers 404 for them), and unfinished jobs are never dropped.  What a
+dropped job left in the result store (``/result/<digest>``,
+``/trace/<digest>``) still answers.
 
 Threading contract: all public methods must be called on the event loop
 that ran :meth:`FlowService.start` (the HTTP server does; tests drive it
@@ -59,7 +66,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import multiprocessing
 import os
 import time
@@ -68,7 +74,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.cachedir import atomic_write
 from repro.delay.cache import default_cache_dir
 from repro.designs import design_names
 from repro.errors import ReproError
@@ -76,19 +81,11 @@ from repro.obs.context import TraceContext, new_span_id, new_trace_id
 from repro.obs.journal import EventJournal
 from repro.service.request import FlowRequest
 from repro.service.store import ResultStore
-from repro.service.traces import (
-    TRACE_SCHEMA,
-    TraceStore,
-    discard_spool,
-    read_spool,
-)
+from repro.service.traces import TRACE_SCHEMA, discard_spool, read_spool
 from repro.service.worker import TELEMETRY_KEY, worker_entry
 
 #: Dispatch order of the priority lanes.
 PRIORITIES = ("high", "normal", "low")
-
-#: Version tag of quarantine records.
-QUARANTINE_SCHEMA = "repro-quarantine/1"
 
 #: Finished jobs the daemon keeps for ``/jobs/<id>`` and ``/status``; past
 #: it, the oldest finished jobs are dropped (unfinished ones never are).
@@ -230,7 +227,6 @@ class FlowService:
             (``backoff_s * 2**(attempt-1)``, capped).
         job_timeout_s: Default per-job wall-clock budget; a worker alive
             past it is killed and the attempt counted as a timeout.
-        quarantine_dir: Where poison-job records land.
         entry: Worker process target — overridable so tests can wrap
             :func:`~repro.service.worker.worker_entry` with fault hooks.
     """
@@ -244,10 +240,8 @@ class FlowService:
         backoff_s: float = 0.25,
         backoff_cap_s: float = 5.0,
         job_timeout_s: float = 600.0,
-        quarantine_dir: Optional[str] = None,
         entry: Optional[Callable] = None,
         journal: Optional[EventJournal] = None,
-        trace_store: Optional[TraceStore] = None,
     ) -> None:
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
@@ -262,9 +256,6 @@ class FlowService:
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.job_timeout_s = job_timeout_s
-        self.quarantine_dir = quarantine_dir or os.path.join(
-            default_cache_dir(), "quarantine"
-        )
         #: This daemon's counters, gauges and histograms — the one metrics
         #: sink that ``/status``, :meth:`counter` and ``GET /metrics`` read.
         self.registry = obs.MetricsRegistry()
@@ -272,7 +263,6 @@ class FlowService:
             os.path.join(default_cache_dir(), "journal", "events.jsonl"),
             source="daemon",
         )
-        self.traces = trace_store or TraceStore()
         self.created_s = time.time()
         self._created_mono = time.perf_counter()
         self._entry = entry or worker_entry
@@ -320,9 +310,7 @@ class FlowService:
             max_attempts=self.max_attempts,
             job_timeout_s=self.job_timeout_s,
             store=self.store.root,
-            quarantine_dir=self.quarantine_dir,
             journal=str(self.journal.path),
-            traces=self.traces.root,
         )
         self._tasks = [
             asyncio.create_task(self._worker_loop(), name=f"repro-service-w{i}")
@@ -481,9 +469,7 @@ class FlowService:
             "jobs": [job.record() for job in recent],
             "metrics": self.registry.to_dict(),
             "store": {"root": self.store.root, "entries": len(self.store)},
-            "quarantine_dir": self.quarantine_dir,
             "journal": str(self.journal.path),
-            "traces": self.traces.root,
         }
 
     def counter(self, name: str) -> float:
@@ -637,7 +623,6 @@ class FlowService:
                     "traceback": payload.get("traceback", ""),
                 }
                 self._quarantine(job, reason="error")
-                self._finish(job, "failed")
                 return
 
             # Crash (silent death / signal) or timeout (killed by us).
@@ -654,7 +639,6 @@ class FlowService:
             }
             if attempt >= self.max_attempts:
                 self._quarantine(job, reason=kind)
-                self._finish(job, "failed")
                 return
             self._count("service.retries")
             delay = min(self.backoff_cap_s, self.backoff_s * (2 ** (attempt - 1)))
@@ -680,7 +664,7 @@ class FlowService:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         wire = job.request.to_dict()
         spool = os.path.join(
-            self.traces.root, "spool", f"{job.id}-a{job.attempts}.json"
+            self.store.root, "spool", f"{job.id}-a{job.attempts}.json"
         )
         wire[TELEMETRY_KEY] = {
             "trace": {
@@ -807,7 +791,7 @@ class FlowService:
                 span.set("pid", meta["pid"])
             job.worker_spans.append(obs.snapshot_span(span))
 
-    def _finish(self, job: Job, state: str) -> None:
+    def _finish(self, job: Job, state: str, reason: Optional[str] = None) -> None:
         job.state = state
         job.finished_s = time.time()
         job.finished_mono = time.perf_counter()
@@ -815,7 +799,7 @@ class FlowService:
             del self._inflight[job.digest]
         self._set_queue_gauge()
         self._finish_span(job)
-        self._store_trace(job)
+        self._store_trace(job, reason)
         self._emit(
             "job.completed",
             job_id=job.id,
@@ -830,25 +814,39 @@ class FlowService:
         )
         job.done.set()
 
-    def _store_trace(self, job: Job) -> None:
-        """Write the merged per-request trace document of a job that ran in
-        workers: the daemon's job span plus every attempt's spooled spans.
+    def _store_trace(self, job: Job, reason: Optional[str]) -> None:
+        """Store the merged per-request trace document of a job that ran in
+        workers: the daemon's job span plus every attempt's spooled spans,
+        and for a quarantined job (``reason`` set) its request and error.
         Keyed by request digest — what ``repro trace --request`` and
         ``GET /trace/<digest>`` read."""
-        self.traces.put(
-            job.digest,
-            {
-                "schema": TRACE_SCHEMA,
-                "trace_id": job.trace_id,
-                "digest": job.digest,
-                "job_id": job.id,
-                "state": job.state,
-                "served_from": job.served_from,
-                "attempts": job.attempts,
-                "daemon_span": obs.snapshot_span(job.span) if job.span else {},
-                "worker_spans": list(job.worker_spans),
-            },
-        )
+        document = {
+            "schema": TRACE_SCHEMA,
+            "trace_id": job.trace_id,
+            "digest": job.digest,
+            "job_id": job.id,
+            "state": job.state,
+            "served_from": job.served_from,
+            "attempts": job.attempts,
+            "daemon_span": obs.snapshot_span(job.span) if job.span else {},
+            "worker_spans": list(job.worker_spans),
+        }
+        if reason is not None:
+            document.update(
+                request=job.request.to_dict(), reason=reason, error=job.error
+            )
+        try:
+            evicted = self.store.put_trace(job.digest, document)
+        except OSError as exc:  # forensics never fail the job, but say so
+            self._emit(
+                "job.trace_failed",
+                job_id=job.id,
+                digest=job.digest,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            return
+        if evicted:
+            self._count("service.store_evictions", evicted)
 
     def _finish_span(self, job: Job) -> None:
         if job.span is None or job.span.end_s is not None:
@@ -863,25 +861,8 @@ class FlowService:
             job.span.set("result_digest", job.result_digest)
 
     def _quarantine(self, job: Job, reason: str) -> None:
-        """Write the structured poison-job record (atomic, like the store)."""
-        record = {
-            "schema": QUARANTINE_SCHEMA,
-            "job_id": job.id,
-            "digest": job.digest,
-            "request": job.request.to_dict(),
-            "reason": reason,  # error | crash | timeout
-            "attempts": job.attempts,
-            "error": job.error,
-            "quarantined_s": time.time(),
-        }
-        try:
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-            atomic_write(
-                os.path.join(self.quarantine_dir, f"{job.digest}.json"),
-                (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),
-            )
-        except OSError:
-            pass  # quarantine is best-effort forensics; the job record has it all
+        """Fail a poison job: ``reason`` is ``error``, ``crash`` or
+        ``timeout``, and the job's trace document records it."""
         self._count("service.quarantined")
         self._emit(
             "job.quarantined",
@@ -891,3 +872,4 @@ class FlowService:
             attempts=job.attempts,
             trace_id=job.trace_id,
         )
+        self._finish(job, "failed", reason)

@@ -15,7 +15,8 @@ Routes:
   daemon's metrics registry (queue depth per lane, coalesce/hit
   counters, compile-latency summaries, worker restarts);
 * ``GET  /trace/<digest>`` — the merged per-request trace document
-  (daemon span + every worker attempt, partial spans included);
+  (daemon span + every worker attempt, partial spans included; a failed
+  job's also names its request, failure reason and error);
 * ``GET  /jobs/<id>``    — one job record (404 for unknown ids);
 * ``POST /submit``       — admit a request.  Body fields: ``design``
   (required), ``config`` (label or canonical dict), ``params``,
@@ -26,6 +27,10 @@ Routes:
   store, 202 accepted (non-wait), 400 bad request, 404 unknown design,
   429 queue full (backpressure), 500 job failed under ``wait``;
 * ``POST /shutdown``     — graceful stop.
+
+``/result`` and ``/trace`` read the result store, so they answer after
+the daemon forgets the job; a ``<digest>`` that is not 64 lowercase hex
+characters is a 404.
 
 :func:`serve_in_thread` runs a whole service + server on a private event
 loop in a daemon thread — the embedding used by tests, benchmarks and
@@ -184,9 +189,10 @@ class ServiceServer:
         if method == "GET" and path == "/metrics":
             return 200, self.metrics_text()
         if method == "GET" and path.startswith("/trace/"):
-            document = self.service.traces.get(path[len("/trace/"):])
+            digest = path[len("/trace/"):]
+            document = self.service.store.get_trace(digest)
             if document is None:
-                return 404, {"error": f"no trace for digest {path[len('/trace/'):]!r}"}
+                return 404, {"error": f"no trace for digest {digest!r}"}
             return 200, document
         if method == "GET" and path.startswith("/jobs/"):
             try:

@@ -1,38 +1,43 @@
 """Content-addressed result store: ``$REPRO_CACHE_DIR/results/``.
 
-Every entry is one finished flow compilation, keyed by the
-:meth:`~repro.service.request.FlowRequest.digest` of the request that
-produced it, and stored as one file, ``<digest>.json``: a canonical-JSON
-:class:`ResultRecord`.  The record holds the request encoding, the
-result's :meth:`~repro.flow.FlowResult.fingerprint` (whose design,
-config, clock, Fmax, period and critical-path class are the summary the
-daemon reports), the timing report with its critical path, and the stage
-journal.  It is data only: a hit and a ``/result/<digest>`` download both
-parse JSON, and nothing another process wrote into the store is ever
-unpickled.  The full :class:`~repro.flow.FlowResult` (netlist, placement,
-schedules) stays in the process that compiled it.
+The service's one per-request store.  An entry is keyed by a
+:meth:`~repro.service.request.FlowRequest.digest` and is up to two files:
+
+* ``<digest>.json`` — the canonical-JSON :class:`ResultRecord` of a
+  finished compilation: the request encoding, the result's
+  :meth:`~repro.flow.FlowResult.fingerprint` (whose design, config, clock,
+  Fmax, period and critical-path class are the summary the daemon
+  reports), the timing report with its critical path, and the stage
+  journal.  It is data only: a hit and a ``/result/<digest>`` download
+  both parse JSON, and nothing another process wrote is ever unpickled.
+  The full :class:`~repro.flow.FlowResult` stays in the process that
+  compiled it.
+* ``<digest>.trace`` — the merged trace document (``repro-trace/1``) of
+  the last job that ran the request in workers
+  (:meth:`ResultStore.put_trace`).  A failed job leaves a lone ``.trace``
+  that also names its request, the failure ``reason`` and the ``error``.
 
 Every record is validated where it is read, by :meth:`ResultRecord.parse`:
 the fingerprint must hash to the record's ``result_digest``, and the
-request must hash to the digest the record is stored under.
-A file that fails either check, or whose ``schema`` is not
-:data:`STORE_SCHEMA` (an entry of an older layout), is a miss.
+request must hash to the digest the record is stored under.  A file that
+fails either check, or whose ``schema`` is not :data:`STORE_SCHEMA`, is a
+miss.  :meth:`ResultStore._path` is the one place entry paths are built,
+and a digest that is not 64 lowercase hex characters names no entry, so
+no lookup reaches outside ``root``.
 
 Guarantees:
 
-* **Atomic writes** — records go through :func:`repro.cachedir.atomic_write`
-  (temp file + ``os.replace``), so a concurrent reader (another daemon, a
-  worker retry racing its predecessor's corpse) can never observe a
-  half-written entry.  Writes of the same digest are idempotent: the flow
-  is deterministic, so last-writer-wins replaces a record with an equal
-  fingerprint.
-* **LRU eviction** — the store is bounded (``max_entries``); a successful
-  :meth:`ResultStore.get` refreshes the entry's recency (mtime), and
-  :meth:`ResultStore.put` evicts the least-recently-used entries beyond
-  the bound, reading only names and mtimes (:func:`repro.cachedir.evict_lru`
-  stats nothing under the bound).  The ``.pkl`` payloads an older layout
-  left count toward the bound and are evicted in their turn, and an entry
-  with a corrupt record still counts too.
+* **Atomic writes** — both files go through
+  :func:`repro.cachedir.atomic_write`, so a concurrent reader (another
+  daemon, a worker retry racing its predecessor's corpse) never observes
+  a half-written file.  The flow is deterministic, so rewriting a digest
+  replaces its record with an equal one.
+* **LRU eviction** — the store holds at most ``max_entries`` entries.  An
+  entry's recency is its ``.json`` mtime (a lone ``.trace``'s otherwise),
+  refreshed by a :meth:`ResultStore.get` hit.  :meth:`ResultStore.put`
+  and :meth:`ResultStore.put_trace` evict beyond the bound, reading only
+  names and mtimes (:func:`repro.cachedir.evict_lru`); a record and its
+  trace go together, and a lone ``.trace`` or a corrupt record counts.
 * **Write/evict exclusion** — writers and evictors (possibly in different
   processes: every worker of a daemon shares the daemon's store) serialize
   on an ``flock`` over ``<root>/.lock``, and eviction re-checks each
@@ -40,6 +45,8 @@ Guarantees:
   Without this, an evictor working from a stale scan could delete the
   entry a concurrent ``put`` just (re)wrote — the race
   ``tests/test_store_concurrency.py`` hammers.  Reads stay lock-free.
+
+Workers spool their spans to ``<root>/spool/`` (:mod:`repro.service.traces`).
 """
 
 from __future__ import annotations
@@ -47,17 +54,12 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.cachedir import (
-    SIDECAR_SUFFIXES,
-    atomic_write,
-    evict_lru,
-    file_lock,
-    read_sidecars,
-)
+from repro.cachedir import atomic_write, evict_lru, file_lock, read_sidecars
 from repro.delay.cache import default_cache_dir
 from repro.errors import ReproError
 from repro.flow import FlowResult, fingerprint_digest
@@ -69,6 +71,12 @@ from repro.service.request import FlowRequest
 #: Version tag of the on-disk entry layout (``/3``: one canonical-JSON
 #: result record per entry, no pickled payload).
 STORE_SCHEMA = "repro-result-store/3"
+
+#: The files of one entry; the first present one carries its recency.
+ENTRY_SUFFIXES = (".json", ".trace")
+
+#: A request digest: the only entry names the store builds paths from.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 #: Default LRU bound.  A record is a few KB, so the bound is about how
 #: many design × config × seed points a sweep revisits, not disk.
@@ -279,23 +287,27 @@ class ResultStore:
         """Cross-process writer/evictor mutual exclusion.
 
         A :func:`~repro.cachedir.file_lock` on ``<root>/.lock``; the lock
-        file itself is never an entry (no ``.json``/``.pkl`` suffix).
+        file itself is never an entry (no ``.json``/``.trace`` suffix).
         Callers must not nest acquisitions (the lock is not re-entrant) —
-        ``put`` therefore calls
+        ``put`` and ``put_trace`` therefore call
         :func:`~repro.cachedir.evict_lru` directly, not :meth:`evict`.
         """
         os.makedirs(self.root, exist_ok=True)
         with file_lock(os.path.join(self.root, ".lock")):
             yield
 
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.json")
+    def _path(self, digest: str, suffix: str = ".json") -> str:
+        """The path of ``digest``'s ``suffix`` file; raises
+        :class:`ReproError` for anything but 64 lowercase hex characters."""
+        if not _DIGEST.fullmatch(digest):
+            raise ReproError(f"not a request digest: {digest!r}")
+        return os.path.join(self.root, digest + suffix)
 
     # -- read side -------------------------------------------------------
     def get(self, digest: str) -> Optional[StoredResult]:
         """Look up ``digest``; a valid hit refreshes the entry's LRU recency."""
-        path = self._path(digest)
         try:
+            path = self._path(digest)
             with open(path, "rb") as handle:
                 record = ResultRecord.parse(handle.read(), digest)
         except (OSError, ReproError):
@@ -317,6 +329,27 @@ class ResultStore:
         format), or ``None`` on a miss."""
         hit = self.get(digest)
         return hit.record.to_bytes() if hit is not None else None
+
+    def get_trace(self, digest: str) -> Optional[Dict[str, Any]]:
+        """The trace document stored under ``digest``, or ``None``; leaves
+        the entry's recency alone."""
+        try:
+            with open(self._path(digest, ".trace"), "rb") as handle:
+                document = json.load(handle)
+        except (OSError, ReproError, ValueError, RecursionError):
+            return None
+        return document if isinstance(document, dict) else None
+
+    def resolve(self, prefix: str) -> List[str]:
+        """Stored request digests starting with ``prefix``, sorted: how
+        ``repro trace --request`` accepts the 12-character prefixes
+        ``repro submit`` prints."""
+        try:
+            names = os.listdir(self.root)
+        except OSError:
+            return []
+        keys = {n.rsplit(".", 1)[0] for n in names if n.endswith(ENTRY_SUFFIXES)}
+        return sorted(k for k in keys if k.startswith(prefix) and _DIGEST.fullmatch(k))
 
     def entries(self) -> List[Dict[str, Any]]:
         """All parseable records, least-recently-used first (for listings)."""
@@ -346,11 +379,20 @@ class ResultStore:
         with self._exclusive():
             atomic_write(path, data)
             evicted = evict_lru(
-                self.root, self.max_entries, SIDECAR_SUFFIXES, keep=record.digest
+                self.root, self.max_entries, ENTRY_SUFFIXES, keep=record.digest
             )
         return StoredResult(record=record, evicted=evicted)
+
+    def put_trace(self, digest: str, document: Dict[str, Any]) -> int:
+        """Store ``document`` as ``digest``'s merged trace (atomic), then
+        evict down to ``max_entries``; returns the entries evicted."""
+        path = self._path(digest, ".trace")
+        data = (json.dumps(document, sort_keys=True) + "\n").encode()
+        with self._exclusive():
+            atomic_write(path, data)
+            return evict_lru(self.root, self.max_entries, ENTRY_SUFFIXES, keep=digest)
 
     def evict(self) -> int:
         """Drop least-recently-used entries beyond ``max_entries``."""
         with self._exclusive():
-            return evict_lru(self.root, self.max_entries, SIDECAR_SUFFIXES)
+            return evict_lru(self.root, self.max_entries, ENTRY_SUFFIXES)

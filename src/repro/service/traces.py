@@ -1,21 +1,19 @@
-"""Per-request merged traces and the worker trace spool.
+"""The worker trace spool, and the merged trace document it feeds.
 
-Two pieces of the cross-process trace story live here:
+The **trace spool** is the one way a worker attempt's spans come home.
+The worker runs a background thread that periodically snapshots its live
+tracer to a spool file under ``<store root>/spool/`` (atomic temp+rename,
+so the daemon never reads a torn file), and writes it once more when the
+flow succeeds.  After *every* attempt the daemon rebuilds the spooled
+snapshots via :func:`repro.obs.snapshot.rebuild_span` and tags them with
+the trace identity; an attempt that died or raised leaves its last
+generation, tagged ``partial`` — the trace shows exactly how far it got.
 
-* :class:`TraceStore` — a tiny content-addressed store of **merged trace
-  documents** (``repro-trace/1``), one per request digest: the daemon's
-  ``service.job`` span plus the span forest of *every* worker attempt,
-  partial ones included.  A store hit writes none, so the document stays
-  the compile's.  ``repro trace --request <digest>`` and
-  ``GET /trace/<digest>`` read from it.
-* the **trace spool** — the one way a worker attempt's spans come home.
-  The worker runs a background thread that periodically snapshots its
-  live tracer to a spool file (atomic temp+rename, so the daemon never
-  reads a torn file), and writes it once more when the flow succeeds.
-  After *every* attempt the daemon rebuilds the spooled snapshots via
-  :func:`repro.obs.snapshot.rebuild_span` and tags them with the trace
-  identity; an attempt that died or raised leaves its last generation,
-  tagged ``partial`` — the trace shows exactly how far it got.
+The daemon merges its ``service.job`` span and every attempt's spans into
+one ``repro-trace/1`` document per request and stores it next to the
+result record, as ``<digest>.trace`` in the result store
+(:meth:`~repro.service.store.ResultStore.put_trace`);
+:func:`rebuild_trace` turns such a document back into span trees.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.cachedir import atomic_write
-from repro.delay.cache import default_cache_dir
 from repro.obs.journal import emit_event
 
 #: Version tag of merged per-request trace documents.
@@ -36,52 +33,6 @@ TRACE_SCHEMA = "repro-trace/1"
 #: How often the worker spools its live tracer (s).  Low enough that even
 #: a worker killed a few ms into a stage leaves evidence.
 SPOOL_INTERVAL_S = 0.05
-
-
-def default_trace_dir() -> str:
-    return os.path.join(default_cache_dir(), "traces")
-
-
-class TraceStore:
-    """Merged trace documents keyed by request digest (atomic writes)."""
-
-    def __init__(self, root: Optional[str] = None) -> None:
-        self.root = root or default_trace_dir()
-
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.json")
-
-    def put(self, digest: str, document: Dict[str, Any]) -> None:
-        try:
-            os.makedirs(self.root, exist_ok=True)
-            atomic_write(
-                self._path(digest),
-                (json.dumps(document, sort_keys=True) + "\n").encode(),
-            )
-        except OSError:
-            pass  # traces are forensics, never a reason to fail the job
-
-    def resolve(self, prefix: str) -> List[str]:
-        """Stored request digests starting with ``prefix``, sorted.
-        ``repro submit`` prints 12-character digest prefixes, and this is
-        how ``repro trace --request`` accepts them."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        return sorted(
-            name[: -len(".json")]
-            for name in names
-            if name.endswith(".json") and name.startswith(prefix)
-        )
-
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._path(digest)) as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return document if isinstance(document, dict) else None
 
 
 def rebuild_trace(document: Dict[str, Any]) -> List[obs.Span]:

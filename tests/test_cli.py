@@ -242,7 +242,6 @@ class TestCliService:
 
         with serve_in_thread(
             store=ResultStore(str(tmp_path / "results")),
-            quarantine_dir=str(tmp_path / "quarantine"),
             workers=1,
             queue_limit=0,
         ) as server:
@@ -256,7 +255,6 @@ class TestCliService:
 
         with serve_in_thread(
             store=ResultStore(str(tmp_path / "results")),
-            quarantine_dir=str(tmp_path / "quarantine"),
             workers=1,
         ) as server:
             port = str(server.port)
@@ -294,12 +292,12 @@ class TestCliTraceRequest:
 
     @pytest.fixture()
     def traces(self, tmp_path, monkeypatch):
-        from repro.service import TraceStore
+        from repro.service import ResultStore
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store = TraceStore()
+        store = ResultStore()
         for index, digest in enumerate((self.FIRST, self.SECOND)):
-            store.put(digest, {
+            store.put_trace(digest, {
                 "schema": "repro-trace/1", "trace_id": f"trace-{index}",
                 "job_id": f"job-{index}", "state": "done", "attempts": 1,
                 "served_from": "compile", "worker_spans": [],
@@ -323,4 +321,13 @@ class TestCliTraceRequest:
 
     def test_unknown_prefix_exits_1(self, traces, capsys):
         assert main(["trace", "--request", "fff"]) == 1
+        assert "no stored trace" in capsys.readouterr().err
+
+    def test_traces_live_in_the_result_store(self, traces, tmp_path):
+        assert traces.root == str(tmp_path / "results")
+        assert traces.resolve("abc") == [self.FIRST, self.SECOND]
+        assert not (tmp_path / "traces").exists()
+
+    def test_path_like_prefix_resolves_nothing(self, traces, capsys):
+        assert main(["trace", "--request", "../results/abc123"]) == 1
         assert "no stored trace" in capsys.readouterr().err

@@ -216,7 +216,6 @@ class TestServiceBacked:
 
         with serve_in_thread(
             store=ResultStore(str(tmp_path / "results")),
-            quarantine_dir=str(tmp_path / "quarantine"),
             workers=2,
             queue_limit=32,
         ) as server:

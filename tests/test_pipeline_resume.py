@@ -40,7 +40,6 @@ def _die_at_timing_entry(request_dict, store_root, conn):
 
 def _service(tmp_path, **kwargs):
     kwargs.setdefault("store", ResultStore(str(tmp_path / "results")))
-    kwargs.setdefault("quarantine_dir", str(tmp_path / "quarantine"))
     kwargs.setdefault("backoff_s", 0.01)
     kwargs.setdefault("backoff_cap_s", 0.05)
     return FlowService(**kwargs)

@@ -10,7 +10,6 @@ both ``fork`` and ``spawn`` start methods).
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import time
@@ -104,7 +103,6 @@ def _pid_gone(pid):
 
 def _service(tmp_path, **kwargs):
     kwargs.setdefault("store", ResultStore(str(tmp_path / "results")))
-    kwargs.setdefault("quarantine_dir", str(tmp_path / "quarantine"))
     kwargs.setdefault("backoff_s", 0.01)
     kwargs.setdefault("backoff_cap_s", 0.05)
     return FlowService(**kwargs)
@@ -246,14 +244,13 @@ class TestFaultTolerance:
                 assert service.counter("service.timeouts") == 2
                 assert service.counter("service.retries") == 1
                 assert service.counter("service.quarantined") == 1
-                record_path = os.path.join(
-                    service.quarantine_dir, f"{job.digest}.json"
-                )
-                with open(record_path) as handle:
-                    record = json.load(handle)
-                assert record["schema"] == "repro-quarantine/1"
+                record = service.store.get_trace(job.digest)
+                assert record["schema"] == "repro-trace/1"
+                assert record["state"] == "failed"
                 assert record["reason"] == "timeout"
                 assert record["request"]["design"] == "matmul"
+                assert record["error"]["error_type"] == "WorkerTimeout"
+                assert service.store.get(job.digest) is None  # a lone .trace
             finally:
                 await service.stop()
 
@@ -275,13 +272,10 @@ class TestFaultTolerance:
                 assert "no_such_param" in job.error["error"]
                 assert service.counter("service.quarantined") == 1
                 assert service.counter("service.retries") == 0
-                record_path = os.path.join(
-                    service.quarantine_dir, f"{job.digest}.json"
-                )
-                with open(record_path) as handle:
-                    record = json.load(handle)
+                record = service.store.get_trace(job.digest)
                 assert record["reason"] == "error"
-                assert record["error"]["traceback"]
+                assert record["request"]["design"] == "matmul"
+                assert "no_such_param" in record["error"]["traceback"]
             finally:
                 await service.stop()
 
@@ -497,7 +491,9 @@ class TestReadinessWait:
             started = time.perf_counter()
             ready = await wait_readable((proc.sentinel,), 30.0)
             elapsed = time.perf_counter() - started
-            proc.join(0)
+            # The sentinel closes before the exiting child is reapable, so
+            # join(0) right after the wake can still see it running.
+            proc.join(5)
             return ready, elapsed, proc.exitcode
 
         ready, elapsed, exitcode = _run(scenario())

@@ -26,7 +26,6 @@ def live(tmp_path_factory):
     root = tmp_path_factory.mktemp("service-http")
     with serve_in_thread(
         store=ResultStore(str(root / "results")),
-        quarantine_dir=str(root / "quarantine"),
         workers=2,
         queue_limit=8,
     ) as server:
@@ -113,10 +112,33 @@ class TestHttpErrors:
         base = f"http://{server.host}:{server.port}"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{base}/nope")
+        excinfo.value.close()
         assert excinfo.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{base}/submit")  # GET on a POST route
+        excinfo.value.close()
         assert excinfo.value.code == 405
+
+    @pytest.mark.parametrize("route", ["/trace/", "/result/"])
+    def test_path_traversal_is_404(self, live, tmp_path, route):
+        """A digest segment that climbs out of the store names no entry,
+        even when the file it points at exists and parses."""
+        server, client = live
+        client.submit("matmul", config="orig", wait=True)  # the store exists
+        target = tmp_path / "secret.json"
+        target.write_text('{"not": "a trace"}')
+        # Enough ``..`` to reach ``/`` from any store root, then the target.
+        climb = "../" * 64 + str(target)[1 : -len(".json")]
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            connection.request("GET", route + climb)
+            response = connection.getresponse()
+            body = response.read()
+        finally:
+            connection.close()
+        assert target.exists()
+        assert response.status == 404, body
+        assert b'"not"' not in body
 
     def test_malformed_json_400(self, live):
         server, _ = live
@@ -142,7 +164,6 @@ class TestBackpressureOverHttp:
     def test_queue_full_is_429_and_busy_error(self, tmp_path):
         with serve_in_thread(
             store=ResultStore(str(tmp_path / "results")),
-            quarantine_dir=str(tmp_path / "quarantine"),
             workers=1,
             queue_limit=0,  # every submission overflows immediately
         ) as server:
@@ -159,7 +180,6 @@ class TestShutdown:
     def test_shutdown_route_stops_daemon(self, tmp_path):
         with serve_in_thread(
             store=ResultStore(str(tmp_path / "results")),
-            quarantine_dir=str(tmp_path / "quarantine"),
             workers=1,
         ) as server:
             client = ServiceClient(server.host, server.port)

@@ -207,6 +207,83 @@ class TestLru:
             ResultStore(str(tmp_path), max_entries=0)
 
 
+class TestTraces:
+    """``<digest>.trace``: the merged trace document stored next to the
+    record, one entry and one recency with it."""
+
+    DOCUMENT = {"schema": "repro-trace/1", "state": "done", "worker_spans": []}
+
+    def _age(self, store, digest, seconds_ago):
+        then = time.time() - seconds_ago
+        for suffix in (".json", ".trace"):
+            path = store._path(digest, suffix)
+            if os.path.exists(path):
+                os.utime(path, (then, then))
+
+    def test_put_trace_round_trips_in_sorted_json(self, store):
+        digest = _request().digest()
+        store.put_trace(digest, {"b": 1, "a": [2]})
+        assert store.get_trace(digest) == {"b": 1, "a": [2]}
+        with open(store._path(digest, ".trace"), "rb") as handle:
+            assert handle.read() == b'{"a": [2], "b": 1}\n'
+        assert len(store) == 0  # a trace is not a record
+        assert store.entries() == []
+
+    def test_eviction_takes_the_trace_with_its_record(self, store, flow_result):
+        digests = []
+        for seed in (1, 2, 3):
+            entry = store.put(_request(seed), flow_result)
+            store.put_trace(entry.digest, self.DOCUMENT)
+            digests.append(entry.digest)
+            self._age(store, entry.digest, seconds_ago=100 - seed)
+        assert store.put(_request(4), flow_result).evicted == 1
+        assert not os.path.exists(store._path(digests[0]))
+        assert not os.path.exists(store._path(digests[0], ".trace"))
+        assert store.get_trace(digests[1]) == self.DOCUMENT
+
+    def test_lone_trace_counts_and_is_evicted(self, store, flow_result):
+        """A failed job stores a trace and no record: it takes a slot of
+        the bound and goes in its LRU turn."""
+        failed = _request(99).digest()
+        store.put_trace(failed, self.DOCUMENT)
+        self._age(store, failed, seconds_ago=100)
+        kept = [store.put(_request(seed), flow_result).digest for seed in (1, 2)]
+        assert store.get_trace(failed) == self.DOCUMENT  # three entries: fits
+        assert store.put(_request(3), flow_result).evicted == 1
+        assert store.get_trace(failed) is None
+        assert all(store.get(digest) is not None for digest in kept)
+
+    def test_put_trace_evicts_too(self, store, flow_result):
+        for seed in (1, 2, 3):
+            entry = store.put(_request(seed), flow_result)
+            self._age(store, entry.digest, seconds_ago=100 - seed)
+        assert store.put_trace(_request(99).digest(), self.DOCUMENT) == 1
+        assert len(store) == 2
+
+    def test_resolve_prefixes(self, store, flow_result):
+        recorded = store.put(_request(1), flow_result).digest
+        traced = _request(2).digest()
+        store.put_trace(traced, self.DOCUMENT)
+        store.put_trace(recorded, self.DOCUMENT)
+        assert store.resolve(recorded[:12]) == [recorded]
+        assert store.resolve("") == sorted({recorded, traced})
+        assert store.resolve("../") == []
+
+    @pytest.mark.parametrize(
+        "digest", ["../x", "A" * 64, "0" * 63, "0" * 65, "", "0" * 63 + "/"]
+    )
+    def test_a_digest_that_is_not_64_lowercase_hex_is_a_miss(
+        self, store, tmp_path, digest
+    ):
+        (tmp_path / "x.json").write_text('{"not": "a trace"}')
+        (tmp_path / "x.trace").write_text('{"not": "a trace"}')
+        assert store.get(digest) is None
+        assert store.get_bytes(digest) is None
+        assert store.get_trace(digest) is None
+        with pytest.raises(ReproError, match="not a request digest"):
+            store.put_trace(digest, self.DOCUMENT)
+
+
 class TestTamperedEntry:
     """The entry files on disk are the bytes from outside the program that
     the store parses: every malformed or lying record written at an

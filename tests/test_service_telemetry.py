@@ -19,15 +19,17 @@ import os
 import signal
 import time
 
+import pytest
+
 from repro import obs
 from repro.obs.exposition import parse_exposition
 from repro.obs.journal import EventJournal, read_events
+from repro.service import daemon
 from repro.service.daemon import FlowService
 from repro.service.request import FlowRequest
 from repro.service.server import serve_in_thread
-from repro.service.client import ServiceClient
-from repro.service.store import ResultStore
-from repro.service.traces import TraceStore
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.store import ResultRecord, ResultStore
 
 #: Gate file env var: while the file exists, the gated compile idles under
 #: an open span — giving tests a window to SIGKILL or scrape mid-flight.
@@ -60,12 +62,10 @@ def _gated_compile_entry(request_dict, store_root, conn):
 
 def _service(tmp_path, **kwargs):
     kwargs.setdefault("store", ResultStore(str(tmp_path / "results")))
-    kwargs.setdefault("quarantine_dir", str(tmp_path / "quarantine"))
     kwargs.setdefault(
         "journal", EventJournal(tmp_path / "journal" / "events.jsonl",
                                source="daemon")
     )
-    kwargs.setdefault("trace_store", TraceStore(str(tmp_path / "traces")))
     kwargs.setdefault("backoff_s", 0.01)
     kwargs.setdefault("backoff_cap_s", 0.05)
     return FlowService(**kwargs)
@@ -74,8 +74,7 @@ def _service(tmp_path, **kwargs):
 class TestTracePropagation:
     def test_client_request_yields_one_merged_trace(self, tmp_path):
         """Client-minted trace_id → daemon span → worker span, one doc."""
-        traces = TraceStore(str(tmp_path / "traces"))
-        service = _service(tmp_path, workers=1, trace_store=traces)
+        service = _service(tmp_path, workers=1)
         with serve_in_thread(service) as server:
             client = ServiceClient(port=server.port)
             record = client.submit("matmul", config="orig", wait=True)
@@ -110,13 +109,13 @@ class TestTracePropagation:
         gate = tmp_path / "gate"
         gate.write_text("hold\n")
         monkeypatch.setenv(GATE_ENV, str(gate))
-        traces = TraceStore(str(tmp_path / "traces"))
+        store = ResultStore(str(tmp_path / "results"))
         request = FlowRequest.make("matmul", config="orig")
 
         async def scenario():
             service = _service(
                 tmp_path, workers=1, max_attempts=3,
-                entry=_gated_compile_entry, trace_store=traces,
+                entry=_gated_compile_entry, store=store,
             )
             await service.start()
             try:
@@ -139,7 +138,7 @@ class TestTracePropagation:
                 await service.stop()
 
         job = asyncio.run(scenario())
-        document = traces.get(job.digest)
+        document = store.get_trace(job.digest)
         assert document is not None
         assert document["attempts"] == 2
         assert document["trace_id"] == job.trace_id
@@ -216,17 +215,43 @@ class TestTracePropagation:
 
     def test_store_hit_keeps_the_compile_trace(self, tmp_path):
         """A store hit writes no trace document: /trace/<digest> stays the
-        compile that made the result, worker spans and all."""
+        compile that made the result, worker spans and all, and the
+        ``.trace`` file is not even touched."""
         service = _service(tmp_path, workers=1)
         with serve_in_thread(service) as server:
             client = ServiceClient(port=server.port)
             record = client.submit("vector_arith", config="orig", wait=True)
+            path = service.store._path(record["digest"], ".trace")
+            before = (open(path, "rb").read(), os.stat(path).st_mtime_ns)
             again = client.submit("vector_arith", config="orig", wait=True)
             assert again["submitted_as"] == "store"
             document = client.get_trace(record["digest"])
+            after = (open(path, "rb").read(), os.stat(path).st_mtime_ns)
+        assert after == before
         assert document["served_from"] == "compile"
         assert document["job_id"] == record["id"]
         assert len(document["worker_spans"]) >= 1
+
+    def test_dropped_job_still_answers_from_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """Once the daemon forgets a finished job, ``/jobs/<id>`` is a 404
+        but its result and trace still answer from the result store."""
+        monkeypatch.setattr(daemon, "JOB_RETENTION", 1)
+        service = _service(tmp_path, workers=1)
+        with serve_in_thread(service) as server:
+            client = ServiceClient(port=server.port)
+            record = client.submit("vector_arith", config="orig", wait=True)
+            client.submit("vector_arith", config="orig", wait=True)  # a hit
+            with pytest.raises(ServiceError) as excinfo:
+                client.job(record["id"])
+            assert excinfo.value.status == 404
+            document = client.get_trace(record["digest"])
+            payload = client.get_result_bytes(record["digest"])
+        assert document["job_id"] == record["id"]
+        assert document["trace_id"] == record["trace_id"]
+        parsed = ResultRecord.parse(payload, record["digest"])
+        assert parsed.result_digest() == record["result_digest"]
 
     def test_coalesced_submissions_record_their_trace_ids(self, tmp_path):
         gate = tmp_path / "gate"
@@ -327,7 +352,7 @@ class TestMetricsExposition:
         )
         assert counters["service.compiles"] == delta == 1
         assert snapshot["uptime_s"] >= 0
-        assert "journal" in snapshot and "traces" in snapshot
+        assert "journal" in snapshot
 
 
 class TestEventJournal:

@@ -6,10 +6,10 @@ The stage store and the result store share one eviction routine
 * a write at or under the bound parses no sidecar and stats no file;
 * victims go in ``(mtime, key)`` order, the digest breaking mtime ties,
   and every put leaves the store within its bound;
-* an entry with a corrupt sidecar, or a payload whose sidecar was never
-  written, counts toward the bound and is evicted in its LRU turn.  For
-  the result store, whose entries are one record file each, the orphan
-  payload is a ``.pkl`` an older layout left behind.
+* an entry with a corrupt sidecar, or an orphan file without one, counts
+  toward the bound and is evicted in its LRU turn.  For the stage store
+  the orphan is a payload whose sidecar was never written; for the result
+  store it is the lone ``.trace`` of a failed job.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.flow import Flow
 from repro.opt import BASELINE
 from repro.pipeline.store import StageArtifactStore, encode_outputs
 from repro.service.request import FlowRequest
-from repro.service.store import ResultRecord, ResultStore
+from repro.service.store import ENTRY_SUFFIXES, ResultRecord, ResultStore
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,7 @@ def _key(index: int) -> str:
 
 class _StageKind:
     suffixes = cachedir.SIDECAR_SUFFIXES
+    orphan = ".pkl"  # a payload whose sidecar was never written
 
     def __init__(self, root: str, max_entries: int) -> None:
         self.store = StageArtifactStore(root=root, max_entries=max_entries)
@@ -64,6 +65,8 @@ class _StageKind:
 
 
 class _ResultKind(_StageKind):
+    suffixes = ENTRY_SUFFIXES
+    orphan = ".trace"  # a failed job's trace, with no record
     template: ResultRecord
 
     def __init__(self, root: str, max_entries: int) -> None:
@@ -117,7 +120,9 @@ def _spy(monkeypatch):
 
 
 def _entry_files(calls):
-    return [path for path in calls["opened"] if path.endswith((".json", ".pkl"))]
+    return [
+        path for path in calls["opened"] if path.endswith((".json", ".pkl", ".trace"))
+    ]
 
 
 class TestWritePathReadsNoSidecar:
@@ -200,7 +205,7 @@ class TestLeakedEntriesAreEvicted:
         kind = KINDS[name](str(tmp_path / name), max_entries=2)
         os.makedirs(kind.root, exist_ok=True)
         orphan = _key(99)
-        with open(os.path.join(kind.root, orphan + ".pkl"), "wb") as handle:
+        with open(os.path.join(kind.root, orphan + kind.orphan), "wb") as handle:
             handle.write(b"killed mid-write")
         _age(kind, orphan, 100.0)
         kept = kind.put(0)
@@ -215,8 +220,8 @@ class TestLeakedEntriesAreEvicted:
         _age(kind, oldest, 100.0)
         kept = kind.put(1)
         _age(kind, kept, 200.0)
-        orphan = _key(99)  # a writer's payload, its sidecar not yet renamed in
-        with open(os.path.join(kind.root, orphan + ".pkl"), "wb") as handle:
+        orphan = _key(99)  # just written: the newest file on disk
+        with open(os.path.join(kind.root, orphan + kind.orphan), "wb") as handle:
             handle.write(b"in flight")
         assert kind.store.evict() == 1
         assert _present(kind, orphan)
